@@ -26,7 +26,10 @@ def _load(args) -> Hypergraph | CWHypergraph:
     if args.fixture:
         return formats.builtin_fixture(args.fixture)
     with open(args.input, encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise HyperlapError(f"{args.input}: not valid UTF-8 (byte {exc.start})") from None
     if args.input.endswith(".cw"):
         return formats.parse_cw(text)
     return formats.parse_hg(text)

@@ -11,7 +11,8 @@ import os
 from dataclasses import dataclass, field
 
 from .laplacian import cw_laplacian, hypergraph_laplacian
-from .model import CWHypergraph, Hypergraph, HyperlapError, IndexOutOfRangeError
+from .model import (CWHypergraph, Hypergraph, HyperlapError, IndexOutOfRangeError, InvalidArgumentError,
+                    InvalidStructureError, validate)
 from .walkcount import power_table
 
 DEFAULT_BUDGET = 10_000_000
@@ -28,7 +29,12 @@ class InvalidWalkError(HyperlapError):
 def enumeration_budget() -> int:
     """Walk-count ceiling; HYPERLAP_BUDGET overrides the default."""
     raw = os.environ.get("HYPERLAP_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidArgumentError(f"HYPERLAP_BUDGET must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -105,9 +111,9 @@ def enum_walks(h: Hypergraph, kind: str, i: int, j: int, k: int,
     """All hyperwalks (kind=vertex) or edge-hyperwalks (kind=edge) of
     exactly length k from i to j, in lexicographic step order."""
     if kind not in ("vertex", "edge"):
-        raise ValueError(f"kind must be vertex or edge, got {kind!r}")
+        raise InvalidArgumentError(f"kind must be vertex or edge, got {kind!r}")
     if k < 0:
-        raise ValueError("length must be >= 0")
+        raise InvalidArgumentError("length must be >= 0")
     edges_of = {v: tuple(q for q, e in enumerate(h.edges, start=1) if v in e)
                 for v in range(1, h.n + 1)}
     verts_of = {q: e for q, e in enumerate(h.edges, start=1)}
@@ -128,9 +134,9 @@ def enum_signed_walks(x: CWHypergraph, d: int, kind: str, i: int, j: int, k: int
     """All (d,d+1)-hyperwalks (kind=lower) or (d+1,d)-hyperwalks (kind=upper)
     of length k from i to j, each with its sign."""
     if kind not in ("lower", "upper"):
-        raise ValueError(f"kind must be lower or upper, got {kind!r}")
+        raise InvalidArgumentError(f"kind must be lower or upper, got {kind!r}")
     if k < 0:
-        raise ValueError("length must be >= 0")
+        raise InvalidArgumentError("length must be >= 0")
     signs = x.sign_table(d)
     up_of = {}   # d-cell -> (d+1)-cells
     down_of = {}  # (d+1)-cell -> d-cells
@@ -154,7 +160,7 @@ def walk_sign(x: CWHypergraph, w: Walk) -> int:
     """Product over each middle-tier element of its two incidence signs with
     the neighbouring steps; the empty product is +1."""
     if w.kind not in ("lower", "upper"):
-        raise ValueError(f"walk_sign applies to lower/upper walks, got {w.kind!r}")
+        raise InvalidArgumentError(f"walk_sign applies to lower/upper walks, got {w.kind!r}")
     signs = x.sign_table(w.level)
     total = 1
     for pos in range(1, len(w.steps), 2):
@@ -175,7 +181,10 @@ def cross_check(obj: Hypergraph | CWHypergraph, kmax: int,
     """Compare every matrix-power value against the enumerator, for every
     applicable kind, every index pair and every k <= kmax."""
     if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+        raise InvalidArgumentError("kmax must be >= 1")
+    errors = [i for i in validate(obj).issues if i.severity == "error"]
+    if errors:
+        raise InvalidStructureError(f"invalid structure: {errors[0].location}: {errors[0].message}")
     checked = 0
     mismatches = []
     if isinstance(obj, Hypergraph):

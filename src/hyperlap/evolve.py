@@ -7,10 +7,12 @@ tolerances rather than exactness.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .laplacian import ExactMatrix, hypergraph_laplacian
-from .model import Hypergraph, HyperlapError
+from .model import Hypergraph, HyperlapError, InvalidArgumentError
 
 
 class NotSymmetricError(HyperlapError):
@@ -40,6 +42,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def evolution_operator(m: ExactMatrix, theta: float) -> np.ndarray:
     """U(theta) = exp(-i*theta*m); unitary because m is symmetric real."""
+    if not math.isfinite(theta):
+        raise InvalidArgumentError(f"theta must be finite, got {theta}")
     if not m.is_symmetric():
         raise NotSymmetricError("evolution requires a symmetric matrix")
     if theta == 0:

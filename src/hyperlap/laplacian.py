@@ -1,6 +1,11 @@
 """Incidence matrices and the four Laplacian families, in exact integer
 arithmetic.
 
+Every matrix here is built from one sparse form of the incidence relation
+(`_incidence_lists`), which is also the single place where a structure is
+checked before any count is computed from it. A hypergraph is read as a
+one-level CW-hypergraph whose signs are all +1.
+
 Matrices are dense tuples-of-tuples of Python ints; entries never overflow,
 which matters because walk counts grow geometrically with the power.
 """
@@ -8,8 +13,9 @@ which matters because walk counts grow geometrically with the power.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .model import CWHypergraph, Hypergraph, LevelOutOfRangeError
+from .model import CWHypergraph, Hypergraph, InvalidArgumentError, InvalidStructureError, LevelOutOfRangeError
 
 
 @dataclass(frozen=True)
@@ -55,8 +61,91 @@ class ExactMatrix:
         )
 
 
+class _Incidence(NamedTuple):
+    """Sparse signed incidence of one level, 0-based: by_row[r] lists the
+    (column, sign) pairs of row r and by_col[c] the (row, sign) pairs of
+    column c. Rows are vertices / d-cells, columns edges / (d+1)-cells."""
+
+    rows: int
+    cols: int
+    by_row: list[list[tuple[int, int]]]
+    by_col: list[list[tuple[int, int]]]
+
+    @property
+    def nnz(self) -> int:
+        return sum(map(len, self.by_row))
+
+    def transposed(self) -> _Incidence:
+        return _Incidence(self.cols, self.rows, self.by_col, self.by_row)
+
+
+def _incidence_lists(obj: Hypergraph | CWHypergraph, d: int = 0) -> _Incidence:
+    """The incidence lists of a hypergraph (d is ignored) or of level d of a
+    CW-hypergraph. Raises before returning if an index is out of range, a
+    sign is not +-1, or a pair (i, j) repeats: a vertex twice in one edge
+    or a repeated CW incidence."""
+    if isinstance(obj, Hypergraph):
+        rows, cols = obj.n, obj.m
+        triples = ((v, j, 1) for j, edge in enumerate(obj.edges, start=1) for v in edge)
+
+        def where(i, j):
+            return f"edge {j}, vertex {i}"
+    else:
+        if not 0 <= d <= obj.top_dim - 1:
+            raise LevelOutOfRangeError(f"level {d} out of range [0..{obj.top_dim - 1}]")
+        if d >= len(obj.incidences):
+            raise InvalidStructureError(f"no incidence relation given for level {d}")
+        rows, cols = obj.counts[d], obj.counts[d + 1]
+        triples = obj.incidences[d]
+
+        def where(i, j):
+            return f"level {d} incidence ({i},{j})"
+    by_row = [[] for _ in range(rows)]
+    by_col = [[] for _ in range(cols)]
+    seen = set()
+    for i, j, s in triples:
+        if not (1 <= i <= rows and 1 <= j <= cols):
+            raise InvalidStructureError(f"{where(i, j)}: index out of range [1..{rows}] x [1..{cols}]")
+        if s not in (-1, 1):
+            raise InvalidStructureError(f"{where(i, j)}: sign must be -1 or +1, got {s}")
+        if (i, j) in seen:
+            raise InvalidStructureError(f"{where(i, j)}: duplicate incidence pair")
+        seen.add((i, j))
+        by_row[i - 1].append((j - 1, s))
+        by_col[j - 1].append((i - 1, s))
+    return _Incidence(rows, cols, by_row, by_col)
+
+
 def _freeze(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
+
+
+def _dense(inc: _Incidence) -> tuple[tuple[int, ...], ...]:
+    out = [[0] * inc.cols for _ in range(inc.rows)]
+    for r, pairs in enumerate(inc.by_row):
+        for c, s in pairs:
+            out[r][c] = s
+    return _freeze(out)
+
+
+def _row_square(inc: _Incidence) -> tuple[tuple[int, ...], ...]:
+    """I.I^t over the rows of inc, summed column by column: each column adds
+    the products of its own pairs only, O(sum of squared column sizes)."""
+    out = [[0] * inc.rows for _ in range(inc.rows)]
+    for pairs in inc.by_col:
+        for a, s in pairs:
+            row = out[a]
+            for b, t in pairs:
+                row[b] += s * t
+    return _freeze(out)
+
+
+def _laplacian(inc: _Incidence, parity: str) -> ExactMatrix:
+    """even: I.I^t over the rows; odd: I^t.I over the columns."""
+    if parity not in ("even", "odd"):
+        raise InvalidArgumentError(f"parity must be 'even' or 'odd', got {parity!r}")
+    side = inc if parity == "even" else inc.transposed()
+    return ExactMatrix(dim=side.rows, entries=_row_square(side), tag=parity)
 
 
 def mat_mul(a, b):
@@ -79,75 +168,37 @@ def mat_mul(a, b):
     return _freeze(out)
 
 
-def _gram(a, rows: int, inner: int, of_rows: bool):
-    """A.A^t over rows (of_rows) or A^t.A over columns, with explicit shape
-    so empty inner dimensions still give a square zero matrix."""
-    if of_rows:
-        return tuple(
-            tuple(sum(a[i][q] * a[j][q] for q in range(inner)) for j in range(rows))
-            for i in range(rows)
-        )
-    return tuple(
-        tuple(sum(a[q][i] * a[q][j] for q in range(inner)) for j in range(rows))
-        for i in range(rows)
-    )
-
-
-def transpose(a):
-    if not a:
-        return ()
-    return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
-
-
 def identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def incidence(h: Hypergraph) -> IncidenceMatrix:
     """0/1 vertex-by-edge incidence matrix; column order is edge order."""
-    rows = [[1 if i in edge else 0 for edge in h.edges] for i in range(1, h.n + 1)]
-    return IncidenceMatrix(rows=h.n, cols=h.m, entries=_freeze(rows))
+    return IncidenceMatrix(rows=h.n, cols=h.m, entries=_dense(_incidence_lists(h)))
 
 
 def hypergraph_laplacian(h: Hypergraph, parity: str) -> ExactMatrix:
     """even: n x n vertex Laplacian I.I^t; odd: m x m edge Laplacian I^t.I."""
-    inc = incidence(h).entries
-    if parity == "even":
-        return ExactMatrix(dim=h.n, entries=_gram(inc, h.n, h.m, of_rows=True), tag="even")
-    if parity == "odd":
-        return ExactMatrix(dim=h.m, entries=_gram(inc, h.m, h.n, of_rows=False), tag="odd")
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return _laplacian(_incidence_lists(h), parity)
 
 
 def d_incidence(x: CWHypergraph, d: int) -> SignedIncidenceMatrix:
     """Signed c_d x c_{d+1} incidence matrix at level d."""
-    if not 0 <= d <= x.top_dim - 1:
-        raise LevelOutOfRangeError(f"level {d} out of range [0..{x.top_dim - 1}]")
-    rows = [[0] * x.counts[d + 1] for _ in range(x.counts[d])]
-    for i, j, s in x.incidences[d]:
-        rows[i - 1][j - 1] = s
-    return SignedIncidenceMatrix(
-        level=d, rows=x.counts[d], cols=x.counts[d + 1], entries=_freeze(rows)
-    )
+    inc = _incidence_lists(x, d)
+    return SignedIncidenceMatrix(level=d, rows=inc.rows, cols=inc.cols, entries=_dense(inc))
 
 
 def cw_laplacian(x: CWHypergraph, d: int, parity: str) -> ExactMatrix:
     """even: c_d x c_d matrix I_d.I_d^t; odd: c_{d+1} x c_{d+1} matrix I_d^t.I_d."""
-    inc = d_incidence(x, d).entries
-    if parity == "even":
-        ent = _gram(inc, x.counts[d], x.counts[d + 1], of_rows=True)
-        return ExactMatrix(dim=x.counts[d], entries=ent, tag="even")
-    if parity == "odd":
-        ent = _gram(inc, x.counts[d + 1], x.counts[d], of_rows=False)
-        return ExactMatrix(dim=x.counts[d + 1], entries=ent, tag="odd")
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return _laplacian(_incidence_lists(x, d), parity)
 
 
 def susy_laplacian(h: Hypergraph) -> ExactMatrix:
     """Block direct sum of the even and odd Laplacians: (n+m) x (n+m),
     vertex block first."""
-    even = hypergraph_laplacian(h, "even").entries
-    odd = hypergraph_laplacian(h, "odd").entries
+    inc = _incidence_lists(h)
+    even = _row_square(inc)
+    odd = _row_square(inc.transposed())
     n, m = h.n, h.m
     rows = [[0] * (n + m) for _ in range(n + m)]
     for i in range(n):

@@ -25,6 +25,15 @@ class MissingSkeletonError(HyperlapError):
     pass
 
 
+class InvalidStructureError(HyperlapError):
+    """A hypergraph or CW-hypergraph that breaks a structural invariant."""
+
+
+class InvalidArgumentError(HyperlapError, ValueError):
+    """An argument outside its domain: a negative length or power, kmax < 1,
+    an unknown kind or parity, a non-finite theta, a malformed budget."""
+
+
 def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(1, count + 1))
 
@@ -170,21 +179,19 @@ def _validate_cw(x: CWHypergraph) -> tuple[list[Issue], dict[int, bool]]:
                     issues.append(Issue("error", loc, f"vertex index {v} out of range [1..{x.counts[0]}]"))
 
     # Boundary-squared diagnostic: I_{d-1} . I_d == 0, reported per composition
-    # level d >= 1; a nonzero composition is a warning, never an error.
+    # level d >= 1; a nonzero composition is a warning, never an error. Each
+    # product pairs the incidences that share a middle d-cell q.
     bsz: dict[int, bool] = {}
     if not issues:
         for d in range(1, len(x.incidences)):
-            lower = x.sign_table(d - 1)
-            upper = x.sign_table(d)
-            zero = True
-            for i in range(1, x.counts[d - 1] + 1):
-                for j in range(1, x.counts[d + 1] + 1):
-                    total = sum(
-                        lower.get((i, q), 0) * upper.get((q, j), 0)
-                        for q in range(1, x.counts[d] + 1)
-                    )
-                    if total != 0:
-                        zero = False
+            below: dict[int, list[tuple[int, int]]] = {}
+            for i, q, s in x.incidences[d - 1]:
+                below.setdefault(q, []).append((i, s))
+            composed: dict[tuple[int, int], int] = {}
+            for q, j, t in x.incidences[d]:
+                for i, s in below.get(q, ()):
+                    composed[i, j] = composed.get((i, j), 0) + s * t
+            zero = not any(composed.values())
             bsz[d] = zero
             if not zero:
                 issues.append(

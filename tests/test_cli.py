@@ -130,3 +130,42 @@ def test_unknown_flag(capsys):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "--input", "/nonexistent/x.hg")
     assert code == 1
+
+
+def _one_error_line(code, err):
+    lines = err.splitlines()
+    return code == 1 and len(lines) == 1 and lines[0].startswith("error:")
+
+
+FIG1_VERTEX = ("--fixture", "fig1", "--kind", "vertex", "--from", "1", "--to", "3")
+
+
+def test_negative_length_is_one_error_line(capsys):
+    code, _, err = run(capsys, "count", *FIG1_VERTEX, "--length", "-1")
+    assert _one_error_line(code, err)
+
+
+def test_check_max_length_zero_is_one_error_line(capsys):
+    code, _, err = run(capsys, "check", "--fixture", "fig1", "--max-length", "0")
+    assert _one_error_line(code, err)
+
+
+def test_malformed_budget_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setenv("HYPERLAP_BUDGET", "abc")
+    code, _, err = run(capsys, "enumerate", *FIG1_VERTEX, "--length", "1")
+    assert _one_error_line(code, err)
+    assert "HYPERLAP_BUDGET" in err
+
+
+def test_non_utf8_input_is_one_error_line(tmp_path, capsys):
+    p = tmp_path / "bad.hg"
+    p.write_bytes(b"vertices 2\nedge e\xff 1 2\n")
+    code, _, err = run(capsys, "validate", "--input", str(p))
+    assert _one_error_line(code, err)
+    assert "UTF-8" in err
+
+
+def test_non_finite_theta_is_one_error_line(capsys):
+    code, out, err = run(capsys, "evolve", "--fixture", "fig1", "--theta", "nan", "--trace")
+    assert _one_error_line(code, err)
+    assert out == ""

@@ -141,3 +141,13 @@ def test_enum_matches_count_walks_spot(fig1):
 def test_walk_rendering(fig1):
     w = enum_walks(fig1, "vertex", 1, 3, 1)[0]
     assert w.render(fig1.vertex_labels, fig1.edge_labels) == "v1,e2,v3"
+
+
+def test_cross_check_rejects_invalid_structures():
+    from hyperlap import CWHypergraph
+    from hyperlap.model import HyperlapError
+
+    with pytest.raises(HyperlapError, match="strictly increasing"):
+        cross_check(Hypergraph(n=2, edges=((1, 1), (2, 1))), 1)
+    with pytest.raises(HyperlapError, match="duplicate incidence pair"):
+        cross_check(CWHypergraph(counts=(2, 1), incidences=(((1, 1, 1), (1, 1, -1)),)), 2)

@@ -96,3 +96,11 @@ def test_partition_trace_block_additivity(fig1):
 def test_format_complex():
     assert format_complex(1 + 2j) == "1+2i"
     assert format_complex(-0.5 - 0.25j) == "-0.5-0.25i"
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_theta_rejected(fig1, theta):
+    with pytest.raises(HyperlapError, match="finite"):
+        evolution_operator(susy_laplacian(fig1), theta)
+    with pytest.raises(HyperlapError, match="finite"):
+        partition_trace(fig1, theta)

@@ -77,3 +77,22 @@ def test_project_missing_skeleton(fig2):
 
 def test_project_is_deterministic(fig2):
     assert project_hypergraph(fig2) == project_hypergraph(fig2)
+
+
+def test_boundary_squared_diagnostic_matches_dense_composition():
+    import random
+
+    from hyperlap.laplacian import d_incidence, mat_mul
+    from hyperlap.random_instances import random_cw
+
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(60):
+        x = random_cw(rng, max_cells=4, max_dim=3)
+        want = {}
+        for d in range(1, x.top_dim):
+            product = mat_mul(d_incidence(x, d - 1).entries, d_incidence(x, d).entries)
+            want[d] = not any(any(row) for row in product)
+        assert validate(x).boundary_squared_zero == want
+        seen.update(want.values())
+    assert seen == {True, False}

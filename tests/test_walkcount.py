@@ -3,17 +3,20 @@ import random
 import pytest
 
 from hyperlap import (
+    CWHypergraph,
     Hypergraph,
     WalkQuery,
+    builtin_fixture,
     count_walks,
     cw_laplacian,
     hypergraph_laplacian,
     matrix_power,
     signed_count,
 )
-from hyperlap.model import IndexOutOfRangeError
-from hyperlap.random_instances import random_cw_level, random_hypergraph
-from hyperlap.walkcount import power_table
+from hyperlap.laplacian import _incidence_lists
+from hyperlap.model import HyperlapError, IndexOutOfRangeError, InvalidStructureError
+from hyperlap.random_instances import random_cw, random_cw_level, random_hypergraph
+from hyperlap.walkcount import _binary_power, _prefers_binary_power, _sparse_steps, power_table
 
 
 def test_power_zero_is_identity(fig1):
@@ -123,3 +126,100 @@ def test_counts_exceed_machine_word():
     even = hypergraph_laplacian(h, "even")
     value = matrix_power(even, 30).entry(1, 1)
     assert value > 2**64
+
+
+# ---- the sparse incidence engine: both routes against dense matrix powers
+
+def _dense_incidence(inc):
+    rows = [[0] * inc.cols for _ in range(inc.rows)]
+    for r, pairs in enumerate(inc.by_row):
+        for c, s in pairs:
+            rows[r][c] = s
+    return rows
+
+
+def _dense_gram(inc):
+    """I.I^t by the textbook triple loop, as the reference."""
+    a = _dense_incidence(inc)
+    return tuple(
+        tuple(sum(a[i][q] * a[j][q] for q in range(inc.cols)) for j in range(inc.rows))
+        for i in range(inc.rows)
+    )
+
+
+def _random_levels(seed):
+    """(incidence lists, dense Laplacian of the rows, of the columns) for
+    seeded random hypergraphs and every level of multi-level CW-hypergraphs."""
+    rng = random.Random(seed)
+    for _ in range(30):
+        h = random_hypergraph(rng, max_n=6, max_m=8)
+        yield _incidence_lists(h), hypergraph_laplacian(h, "even"), hypergraph_laplacian(h, "odd")
+    for _ in range(30):
+        x = random_cw(rng, max_cells=5, max_dim=3)
+        for d in range(x.top_dim):
+            yield _incidence_lists(x, d), cw_laplacian(x, d, "even"), cw_laplacian(x, d, "odd")
+
+
+def test_routes_agree_with_dense_powers():
+    rng = random.Random(11)
+    compared = 0
+    for inc, even, odd in _random_levels(7):
+        for side, lap in ((inc, even), (inc.transposed(), odd)):
+            if side.rows == 0:
+                continue
+            for k in (0, 1, 2, 7):
+                i, j = rng.randrange(side.rows), rng.randrange(side.rows)
+                want = matrix_power(lap, k).entries[i][j]
+                assert _sparse_steps(side, i, j, k) == want
+                assert _binary_power(side, i, j, k) == want
+                compared += 1
+    assert compared > 400
+
+
+@pytest.mark.parametrize("kind, i, j", [("vertex", 1, 3), ("edge", 7, 9)])
+def test_routes_agree_at_huge_k(kind, i, j):
+    inc = _incidence_lists(builtin_fixture("fig1"))
+    side = inc if kind == "vertex" else inc.transposed()
+    value = _sparse_steps(side, i - 1, j - 1, 300)
+    assert value == _binary_power(side, i - 1, j - 1, 300)
+    assert value.bit_length() > 1000
+    assert count_walks(builtin_fixture("fig1"), WalkQuery(kind, i, j, 300)).value == value
+
+
+def test_route_rule_picks_binary_power_only_for_tiny_dimension_at_huge_k(fig1):
+    inc = _incidence_lists(fig1)
+    assert _prefers_binary_power(inc, 4000) and _prefers_binary_power(inc.transposed(), 3000)
+    assert not _prefers_binary_power(inc, 4)
+    rng = random.Random(3)
+    big = _incidence_lists(Hypergraph(n=40, edges=tuple(
+        tuple(sorted(rng.sample(range(1, 41), 4))) for _ in range(120))))
+    assert not _prefers_binary_power(big, 32)
+
+
+def test_sparse_laplacians_equal_dense_gram():
+    for inc, even, odd in _random_levels(13):
+        assert even.entries == _dense_gram(inc)
+        assert odd.entries == _dense_gram(inc.transposed())
+
+
+INVALID_HYPERGRAPH = Hypergraph(n=2, edges=((1, 1), (2, 1)))
+DUPLICATE_PAIR = CWHypergraph(counts=(2, 1), incidences=(((1, 1, 1), (1, 1, -1)),))
+
+
+def test_invalid_structures_rejected_before_either_route():
+    with pytest.raises(InvalidStructureError, match="duplicate"):
+        count_walks(INVALID_HYPERGRAPH, WalkQuery("vertex", 1, 1, 1))
+    with pytest.raises(InvalidStructureError, match="duplicate"):
+        signed_count(DUPLICATE_PAIR, WalkQuery("lower", 1, 1, 1, level=0))
+    with pytest.raises(InvalidStructureError, match="sign"):
+        signed_count(CWHypergraph(counts=(2, 1), incidences=(((1, 1, 2),),)),
+                     WalkQuery("lower", 1, 1, 1, level=0))
+    with pytest.raises(InvalidStructureError, match="out of range"):
+        count_walks(Hypergraph(n=2, edges=((1, 3),)), WalkQuery("vertex", 1, 1, 1))
+
+
+def test_negative_length_is_an_argument_error(fig1):
+    with pytest.raises(HyperlapError, match="length"):
+        count_walks(fig1, WalkQuery("vertex", 1, 1, -1))
+    with pytest.raises(ValueError, match="length"):
+        count_walks(fig1, WalkQuery("vertex", 1, 1, -1))
