@@ -1,19 +1,23 @@
 """Brute-force enumeration of all four walk kinds.
 
 This is the independent oracle: every matrix-power answer in `walkcount`
-can be replayed here by exhaustive depth-first generation. Exponential by
-nature; a hard result-count budget keeps it at desk scale.
+can be replayed here by a DFS over the incidence relation itself, never
+over a Laplacian. One DFS per start index visits each walk from it once, up
+to the longest length asked for; nothing is memoised, so the work is the
+number of walks, exponential by nature. A budget bounds the walks one
+start's DFS visits, all lengths and ends counted.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from .laplacian import cw_laplacian, hypergraph_laplacian
-from .model import (CWHypergraph, Hypergraph, HyperlapError, IndexOutOfRangeError, InvalidArgumentError,
-                    InvalidStructureError, validate)
-from .walkcount import power_table
+from .model import (CWHypergraph, Hypergraph, HyperlapError, InvalidArgumentError, InvalidStructureError,
+                    LevelOutOfRangeError, validate)
+from .walkcount import _check_index, power_table
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -27,7 +31,7 @@ class InvalidWalkError(HyperlapError):
 
 
 def enumeration_budget() -> int:
-    """Walk-count ceiling; HYPERLAP_BUDGET overrides the default."""
+    """Walks one start's DFS may visit; HYPERLAP_BUDGET overrides the default."""
     raw = os.environ.get("HYPERLAP_BUDGET")
     if not raw:
         return DEFAULT_BUDGET
@@ -66,43 +70,89 @@ class CrossCheckReport:
         return not self.mismatches
 
 
-def _check_range(name, value, upper):
-    if not 1 <= value <= upper:
-        raise IndexOutOfRangeError(f"{name} index {value} out of range [1..{upper}]")
-
-
-class _Budget:
-    def __init__(self, limit):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self):
-        self.used += 1
-        if self.used > self.limit:
-            raise BudgetExceededError(f"enumeration budget of {self.limit} walks exceeded")
-
-
-def _alternating_walks(start, goal, steps_remaining, first_nbrs, second_nbrs, budget):
-    """DFS over alternating two-tier sequences. `first_nbrs[a]` lists the
-    other-tier elements adjacent to a; `second_nbrs` maps back. Candidates
-    are pre-sorted, so emission order is lexicographic."""
+def _levels(obj: Hypergraph | CWHypergraph) -> list[tuple[list, list]]:
+    """Per incidence level, (even, odd): even[a] lists one hyperwalk step
+    (middle, next, sign) from vertex / d-cell a, odd[c] from edge /
+    (d+1)-cell c, in lexicographic order, 1-based with slot 0 unused. The
+    sign is the product of the step's two incidence signs; a hypergraph is
+    level 0 with all signs +1. Raises for any structure `validate` rejects."""
+    errors = [i for i in validate(obj).issues if i.severity == "error"]
+    if errors:
+        raise InvalidStructureError(f"invalid structure: {errors[0].location}: {errors[0].message}")
+    if isinstance(obj, Hypergraph):
+        shapes = [((obj.n, obj.m), ((v, j, 1) for j, e in enumerate(obj.edges, start=1) for v in e))]
+    else:
+        shapes = [((obj.counts[d], obj.counts[d + 1]), sorted(level)) for d, level in enumerate(obj.incidences)]
     out = []
+    for (rows, cols), triples in shapes:
+        up = [[] for _ in range(rows + 1)]
+        down = [[] for _ in range(cols + 1)]
+        for a, c, s in triples:
+            up[a].append((c, s))
+            down[c].append((a, s))
+        out.append(([[(c, b, s * t) for c, s in nbrs for b, t in down[c]] for nbrs in up],
+                    [[(a, e, s * t) for a, s in nbrs for e, t in up[a]] for nbrs in down]))
+    return out
 
-    def go(prefix, at, remaining):
-        if remaining == 0:
-            if at == goal:
-                budget.spend()
-                out.append(tuple(prefix))
+
+def _spend(used, limit, start):
+    if used > limit:
+        raise BudgetExceededError(f"enumeration budget of {limit} walks exceeded: {used} walks visited "
+                                  f"from index {start}; HYPERLAP_BUDGET overrides the limit")
+
+
+def _tally(start, kmax, steps, limit):
+    """tally[k][end]: the sum over every walk of length k <= kmax from
+    `start` to `end` of its sign, each walk visited once by a DFS."""
+    tally = [[0] * len(steps) for _ in range(kmax + 1)]
+    tally[0][start] = 1
+    used = 1
+
+    def go(at, k, sign):
+        nonlocal used
+        nxt = steps[at]
+        used += len(nxt)
+        _spend(used, limit, start)
+        row = tally[k + 1]
+        for _mid, b, s in nxt:
+            row[b] += sign * s
+        if k + 1 < kmax:
+            for _mid, b, s in nxt:
+                go(b, k + 1, sign * s)
+
+    go(start, 0, 1)
+    return tally
+
+
+def _listed(obj, d, kind, kinds, i, j, k, budget):
+    """The walks of one kind, of length exactly k from i to j, with their
+    signs, in lexicographic step order."""
+    if kind not in kinds:
+        raise InvalidArgumentError(f"kind must be {kinds[0]} or {kinds[1]}, got {kind!r}")
+    if k < 0:
+        raise InvalidArgumentError("length must be >= 0")
+    levels = _levels(obj)
+    if not 0 <= d < len(levels):
+        raise LevelOutOfRangeError(f"level {d} out of range [0..{len(levels) - 1}]")
+    steps = levels[d][kind == kinds[1]]
+    _check_index("from", i, len(steps) - 1)
+    _check_index("to", j, len(steps) - 1)
+    limit = budget if budget is not None else enumeration_budget()
+    out = []
+    used = 1
+
+    def go(path, at, depth, sign):
+        nonlocal used
+        if depth == k:
+            if at == j:
+                out.append((Walk(kind=kind, steps=path, level=d), sign))
             return
-        for mid in first_nbrs.get(at, ()):
-            prefix.append(mid)
-            for nxt in second_nbrs.get(mid, ()):
-                prefix.append(nxt)
-                go(prefix, nxt, remaining - 1)
-                prefix.pop()
-            prefix.pop()
+        used += len(steps[at])
+        _spend(used, limit, i)
+        for mid, b, s in steps[at]:
+            go(path + (mid, b), b, depth + 1, sign * s)
 
-    go([start], start, steps_remaining)
+    go((i,), i, 0, 1)
     return out
 
 
@@ -110,50 +160,14 @@ def enum_walks(h: Hypergraph, kind: str, i: int, j: int, k: int,
                budget: int | None = None) -> list[Walk]:
     """All hyperwalks (kind=vertex) or edge-hyperwalks (kind=edge) of
     exactly length k from i to j, in lexicographic step order."""
-    if kind not in ("vertex", "edge"):
-        raise InvalidArgumentError(f"kind must be vertex or edge, got {kind!r}")
-    if k < 0:
-        raise InvalidArgumentError("length must be >= 0")
-    edges_of = {v: tuple(q for q, e in enumerate(h.edges, start=1) if v in e)
-                for v in range(1, h.n + 1)}
-    verts_of = {q: e for q, e in enumerate(h.edges, start=1)}
-    b = _Budget(budget if budget is not None else enumeration_budget())
-    if kind == "vertex":
-        _check_range("from", i, h.n)
-        _check_range("to", j, h.n)
-        seqs = _alternating_walks(i, j, k, edges_of, verts_of, b)
-    else:
-        _check_range("from", i, h.m)
-        _check_range("to", j, h.m)
-        seqs = _alternating_walks(i, j, k, verts_of, edges_of, b)
-    return [Walk(kind=kind, steps=s) for s in seqs]
+    return [w for w, _s in _listed(h, 0, kind, ("vertex", "edge"), i, j, k, budget)]
 
 
 def enum_signed_walks(x: CWHypergraph, d: int, kind: str, i: int, j: int, k: int,
                       budget: int | None = None) -> list[tuple[Walk, int]]:
     """All (d,d+1)-hyperwalks (kind=lower) or (d+1,d)-hyperwalks (kind=upper)
     of length k from i to j, each with its sign."""
-    if kind not in ("lower", "upper"):
-        raise InvalidArgumentError(f"kind must be lower or upper, got {kind!r}")
-    if k < 0:
-        raise InvalidArgumentError("length must be >= 0")
-    signs = x.sign_table(d)
-    up_of = {}   # d-cell -> (d+1)-cells
-    down_of = {}  # (d+1)-cell -> d-cells
-    for (a, c), _s in sorted(signs.items()):
-        up_of.setdefault(a, []).append(c)
-        down_of.setdefault(c, []).append(a)
-    b = _Budget(budget if budget is not None else enumeration_budget())
-    if kind == "lower":
-        _check_range("from", i, x.counts[d])
-        _check_range("to", j, x.counts[d])
-        seqs = _alternating_walks(i, j, k, up_of, down_of, b)
-    else:
-        _check_range("from", i, x.counts[d + 1])
-        _check_range("to", j, x.counts[d + 1])
-        seqs = _alternating_walks(i, j, k, down_of, up_of, b)
-    walks = [Walk(kind=kind, steps=s, level=d) for s in seqs]
-    return [(w, walk_sign(x, w)) for w in walks]
+    return _listed(x, d, kind, ("lower", "upper"), i, j, k, budget)
 
 
 def walk_sign(x: CWHypergraph, w: Walk) -> int:
@@ -179,42 +193,25 @@ def walk_sign(x: CWHypergraph, w: Walk) -> int:
 def cross_check(obj: Hypergraph | CWHypergraph, kmax: int,
                 budget: int | None = None) -> CrossCheckReport:
     """Compare every matrix-power value against the enumerator, for every
-    applicable kind, every index pair and every k <= kmax."""
+    applicable kind, every index pair and every k <= kmax. Mismatches are
+    ordered by kind, then k, i, j."""
     if kmax < 1:
         raise InvalidArgumentError("kmax must be >= 1")
-    errors = [i for i in validate(obj).issues if i.severity == "error"]
-    if errors:
-        raise InvalidStructureError(f"invalid structure: {errors[0].location}: {errors[0].message}")
-    checked = 0
-    mismatches = []
+    levels = _levels(obj)
+    limit = budget if budget is not None else enumeration_budget()
     if isinstance(obj, Hypergraph):
-        for kind, parity, space in (("vertex", "even", obj.n), ("edge", "odd", obj.m)):
-            powers = power_table(hypergraph_laplacian(obj, parity), kmax)
-            for k in range(kmax + 1):
-                for i in range(1, space + 1):
-                    for j in range(1, space + 1):
-                        matrix_value = powers[k].entry(i, j)
-                        oracle_value = len(enum_walks(obj, kind, i, j, k, budget=budget))
-                        checked += 1
-                        if matrix_value != oracle_value:
-                            mismatches.append((kind, i, j, k, matrix_value, oracle_value))
+        cases = [("vertex", "edge", partial(hypergraph_laplacian, obj))]
         desc = f"hypergraph n={obj.n} m={obj.m} kmax={kmax}"
     else:
-        for d in range(obj.top_dim):
-            for kind, parity, space in (
-                ("lower", "even", obj.counts[d]),
-                ("upper", "odd", obj.counts[d + 1]),
-            ):
-                powers = power_table(cw_laplacian(obj, d, parity), kmax)
-                for k in range(kmax + 1):
-                    for i in range(1, space + 1):
-                        for j in range(1, space + 1):
-                            matrix_value = powers[k].entry(i, j)
-                            oracle_value = sum(
-                                s for _w, s in enum_signed_walks(obj, d, kind, i, j, k, budget=budget)
-                            )
-                            checked += 1
-                            if matrix_value != oracle_value:
-                                mismatches.append((f"{kind}@d={d}", i, j, k, matrix_value, oracle_value))
+        cases = [(f"lower@d={d}", f"upper@d={d}", partial(cw_laplacian, obj, d)) for d in range(obj.top_dim)]
         desc = f"cw counts={obj.counts} kmax={kmax}"
+    mismatches = []
+    for (lower, upper, laplacian), sides in zip(cases, levels):
+        for kind, parity, steps in zip((lower, upper), ("even", "odd"), sides):
+            powers = power_table(laplacian(parity), kmax)
+            tallies = [_tally(i, kmax, steps, limit) for i in range(1, len(steps))]
+            mismatches += [(kind, i, j, k, powers[k].entry(i, j), tally[k][j])
+                           for k in range(kmax + 1) for i, tally in enumerate(tallies, start=1)
+                           for j in range(1, len(steps)) if powers[k].entry(i, j) != tally[k][j]]
+    checked = sum((kmax + 1) * (len(steps) - 1) ** 2 for sides in levels for steps in sides)
     return CrossCheckReport(description=desc, checked=checked, mismatches=tuple(mismatches))

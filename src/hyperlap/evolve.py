@@ -27,7 +27,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
         return a.copy()
     norm = np.abs(a).sum(axis=1).max()
     s = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0.5 else 0
-    b = a / (1 << s) if s else a
+    b = a * 2.0**-s if s else a
     result = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
     for k in range(1, 40):
@@ -48,8 +48,13 @@ def evolution_operator(m: ExactMatrix, theta: float) -> np.ndarray:
         raise NotSymmetricError("evolution requires a symmetric matrix")
     if theta == 0:
         return np.eye(m.dim, dtype=complex)
-    a = -1j * theta * np.array(m.entries, dtype=float)
-    return _expm(a)
+    # a huge theta overflows theta*Delta or the squaring loop: reject it, never print nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = -1j * theta * np.array(m.entries, dtype=float)
+        u = _expm(a) if np.isfinite(a).all() else a
+    if not np.isfinite(u).all():
+        raise InvalidArgumentError(f"theta={theta} is too large: exp(-i*theta*Delta) overflows double precision")
+    return u
 
 
 def evolve_state(u: np.ndarray, psi: np.ndarray) -> np.ndarray:

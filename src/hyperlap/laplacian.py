@@ -79,14 +79,34 @@ class _Incidence(NamedTuple):
         return _Incidence(self.cols, self.rows, self.by_col, self.by_row)
 
 
+def _edge_triples(edges):
+    """(vertex, edge, +1) for each membership, 1-based; raises on an empty
+    or a decreasing edge (a repeated vertex is left to the duplicate check)."""
+    for j, edge in enumerate(edges, start=1):
+        if not edge:
+            raise InvalidStructureError(f"edge {j}: edge is empty")
+        prev = 0
+        for v in edge:
+            if v < prev:
+                raise InvalidStructureError(f"edge {j}, vertex {v}: vertex indices must be strictly increasing")
+            prev = v
+            yield v, j, 1
+
+
 def _incidence_lists(obj: Hypergraph | CWHypergraph, d: int = 0) -> _Incidence:
     """The incidence lists of a hypergraph (d is ignored) or of level d of a
-    CW-hypergraph. Raises before returning if an index is out of range, a
-    sign is not +-1, or a pair (i, j) repeats: a vertex twice in one edge
-    or a repeated CW incidence."""
+    CW-hypergraph. Raises before returning on every structure `validate`
+    rejects that reaches a count: an index out of range, a sign other than
+    +-1, a repeated pair (a vertex twice in one edge or a repeated CW
+    incidence), an empty or non-increasing edge, n < 1, or a label count
+    that does not match n or m."""
     if isinstance(obj, Hypergraph):
         rows, cols = obj.n, obj.m
-        triples = ((v, j, 1) for j, edge in enumerate(obj.edges, start=1) for v in edge)
+        if rows < 1:
+            raise InvalidStructureError(f"vertex count must be positive, got {rows}")
+        if len(obj.vertex_labels) != rows or len(obj.edge_labels) != cols:
+            raise InvalidStructureError("vertex or edge label count does not match n or m")
+        triples = _edge_triples(obj.edges)
 
         def where(i, j):
             return f"edge {j}, vertex {i}"

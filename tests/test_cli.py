@@ -91,6 +91,7 @@ def test_enumerate_budget_exceeded(capsys, monkeypatch):
                        "--from", "1", "--to", "3", "--length", "4")
     assert code == 2
     assert "budget" in err
+    assert "HYPERLAP_BUDGET" in err
 
 
 def test_evolve_trace(capsys):
@@ -167,5 +168,15 @@ def test_non_utf8_input_is_one_error_line(tmp_path, capsys):
 
 def test_non_finite_theta_is_one_error_line(capsys):
     code, out, err = run(capsys, "evolve", "--fixture", "fig1", "--theta", "nan", "--trace")
+    assert _one_error_line(code, err)
+    assert out == ""
+
+
+def test_overflowing_theta_is_one_error_line(capsys):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "evolve", "--fixture", "fig1", "--theta", "1e300", "--trace")
     assert _one_error_line(code, err)
     assert out == ""

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlap import (
     BudgetExceededError,
@@ -13,9 +15,11 @@ from hyperlap import (
     signed_count,
     walk_sign,
 )
+from hyperlap import enumeration
 from hyperlap.enumeration import InvalidWalkError
-from hyperlap.model import Hypergraph
-from hyperlap.random_instances import random_cw_level, random_hypergraph
+from hyperlap.laplacian import ExactMatrix
+from hyperlap.model import CWHypergraph, Hypergraph, InvalidStructureError
+from hyperlap.random_instances import random_cw, random_cw_level, random_hypergraph
 
 
 def test_fig1_length_one_walks(fig1):
@@ -151,3 +155,92 @@ def test_cross_check_rejects_invalid_structures():
         cross_check(Hypergraph(n=2, edges=((1, 1), (2, 1))), 1)
     with pytest.raises(HyperlapError, match="duplicate incidence pair"):
         cross_check(CWHypergraph(counts=(2, 1), incidences=(((1, 1, 1), (1, 1, -1)),)), 2)
+
+
+def test_enum_walks_rejects_invalid_structure():
+    with pytest.raises(InvalidStructureError, match="strictly increasing"):
+        enum_walks(Hypergraph(n=2, edges=((1, 1),)), "vertex", 1, 1, 1)
+
+
+def test_enum_signed_walks_rejects_invalid_structure():
+    x = CWHypergraph(counts=(2, 1), incidences=(((1, 1, 1), (1, 1, -1)),))
+    with pytest.raises(InvalidStructureError, match="duplicate incidence pair"):
+        enum_signed_walks(x, 0, "lower", 1, 1, 1)
+
+
+def test_budget_counts_every_walk_the_search_visits(fig1):
+    # from v1 up to length 1: the walk (1,) plus one per (edge, vertex) step,
+    # 12 = the row sum of the even Laplacian's first row, whatever the end
+    assert len(enum_walks(fig1, "vertex", 1, 3, 1, budget=13)) == 2
+    with pytest.raises(BudgetExceededError, match="13 walks visited from index 1"):
+        enum_walks(fig1, "vertex", 1, 3, 1, budget=12)
+
+
+def test_cross_check_budget_exceeded(fig1):
+    with pytest.raises(BudgetExceededError, match="HYPERLAP_BUDGET"):
+        cross_check(fig1, 4, budget=1000)
+
+
+def test_cross_check_random_multi_level():
+    rng = random.Random(47)
+    for _ in range(20):
+        x = random_cw(rng, max_cells=4, max_dim=3)
+        report = cross_check(x, 3)
+        assert report.ok
+        c = x.counts
+        assert report.checked == 4 * sum(c[d] ** 2 + c[d + 1] ** 2 for d in range(x.top_dim))
+
+
+@st.composite
+def hypergraphs(draw):
+    n = draw(st.integers(1, 4))
+    vertex_sets = st.sets(st.integers(1, n), min_size=1).map(lambda e: tuple(sorted(e)))
+    return Hypergraph(n=n, edges=tuple(draw(st.lists(vertex_sets, max_size=4))))
+
+
+@st.composite
+def cw_hypergraphs(draw):
+    counts = draw(st.lists(st.integers(0, 3), min_size=2, max_size=4))
+    levels = []
+    for d in range(len(counts) - 1):
+        pairs = draw(st.sets(st.tuples(st.integers(1, max(counts[d], 1)), st.integers(1, max(counts[d + 1], 1)))))
+        signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=len(pairs), max_size=len(pairs)))
+        levels.append(tuple((i, j, s) for (i, j), s in zip(sorted(pairs), signs)
+                            if i <= counts[d] and j <= counts[d + 1]))
+    return CWHypergraph(counts=tuple(counts), incidences=tuple(levels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(obj=st.one_of(hypergraphs(), cw_hypergraphs()), kmax=st.integers(1, 3))
+def test_cross_check_property(obj, kmax):
+    assert cross_check(obj, kmax).ok
+
+
+def _perturbed(monkeypatch, pick):
+    """Make cross_check read power tables in which every entry (i, j) of
+    the k-th power of a Laplacian with tag `tag` is raised by
+    pick(tag, i, j, k) (0 leaves it alone)."""
+    real = enumeration.power_table
+
+    def fake(m, kmax):
+        return [ExactMatrix(dim=p.dim, tag=p.tag,
+                            entries=tuple(tuple(v + pick(m.tag, i, j, k) for j, v in enumerate(row, start=1))
+                                          for i, row in enumerate(p.entries, start=1)))
+                for k, p in enumerate(real(m, kmax))]
+
+    monkeypatch.setattr(enumeration, "power_table", fake)
+
+
+def test_cross_check_reports_one_perturbed_entry(monkeypatch, fig1):
+    _perturbed(monkeypatch, lambda tag, i, j, k: int(tag == "odd" and (i, j, k) == (7, 9, 3)))
+    assert cross_check(fig1, 3).mismatches == (("edge", 7, 9, 3, 385, 384),)
+
+
+def test_cross_check_checked_and_mismatch_order(monkeypatch, fig1):
+    _perturbed(monkeypatch, lambda tag, i, j, k: int((i, j) in ((1, 2), (2, 1), (3, 1))))
+    report = cross_check(fig1, 3)
+    assert report.checked == 388
+    assert [m[:4] for m in report.mismatches] == [
+        (kind, i, j, k) for kind in ("vertex", "edge") for k in range(4) for i, j in ((1, 2), (2, 1), (3, 1))
+    ]
+    assert all(mv == ov + 1 for *_, mv, ov in report.mismatches)

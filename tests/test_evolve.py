@@ -104,3 +104,11 @@ def test_non_finite_theta_rejected(fig1, theta):
         evolution_operator(susy_laplacian(fig1), theta)
     with pytest.raises(HyperlapError, match="finite"):
         partition_trace(fig1, theta)
+
+
+@pytest.mark.parametrize("theta", [1e100, 1e300, 1e307, 1.7e308])
+def test_overflowing_theta_rejected(fig1, theta):
+    with pytest.raises(HyperlapError, match="too large"):
+        evolution_operator(susy_laplacian(fig1), theta)
+    with pytest.raises(ValueError, match="too large"):
+        partition_trace(fig1, theta)

@@ -223,3 +223,20 @@ def test_negative_length_is_an_argument_error(fig1):
         count_walks(fig1, WalkQuery("vertex", 1, 1, -1))
     with pytest.raises(ValueError, match="length"):
         count_walks(fig1, WalkQuery("vertex", 1, 1, -1))
+
+
+@pytest.mark.parametrize("h, message", [
+    (Hypergraph(n=2, edges=((1, 2), ())), "empty"),
+    (Hypergraph(n=2, edges=((2, 1),)), "strictly increasing"),
+    (Hypergraph(n=0, edges=()), "vertex count"),
+    (Hypergraph(n=2, edges=((1, 2),), vertex_labels=("a",)), "label count"),
+    (Hypergraph(n=2, edges=((1, 2),), edge_labels=("a", "b")), "label count"),
+])
+def test_builder_rejects_what_validate_rejects(h, message):
+    from hyperlap import validate
+
+    assert not validate(h).ok
+    with pytest.raises(InvalidStructureError, match=message):
+        count_walks(h, WalkQuery("vertex", 1, 1, 1))
+    with pytest.raises(InvalidStructureError, match=message):
+        hypergraph_laplacian(h, "odd")
