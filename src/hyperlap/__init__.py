@@ -1,4 +1,10 @@
-"""Exact hypergraph / CW-hypergraph Laplacians and walk counting."""
+"""Exact hypergraph / CW-hypergraph Laplacians and walk counting.
+
+Everything here is exact integer work and needs only the standard library.
+numpy is loaded only by `hyperlap.evolve`, and that module is imported on
+the first access to one of its three functions, `evolution_operator`,
+`evolve_state` and `partition_trace`.
+"""
 
 from .model import (
     CWHypergraph,
@@ -26,7 +32,6 @@ from .enumeration import (
     enum_walks,
     walk_sign,
 )
-from .evolve import evolution_operator, evolve_state, partition_trace
 from .formats import ParseError, builtin_fixture, parse_cw, parse_hg, serialize
 
 __all__ = [
@@ -63,3 +68,13 @@ __all__ = [
     "validate",
     "walk_sign",
 ]
+
+_EVOLVE = ("evolution_operator", "evolve_state", "partition_trace")
+
+
+def __getattr__(name):
+    if name in _EVOLVE:
+        from . import evolve
+
+        return getattr(evolve, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 input/usage error, 2 internal or budget error.
 All indices on the command line are 1-based.
+numpy is imported only by the `evolve` command, so every other command
+starts without it.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import enumeration, evolve, formats, laplacian, model, walkcount
+from . import enumeration, formats, laplacian, model, walkcount
 from .enumeration import BudgetExceededError
 from .model import CWHypergraph, Hypergraph, HyperlapError
 
@@ -156,6 +158,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    from . import evolve
+
     obj = _load(args)
     if not isinstance(obj, Hypergraph):
         raise HyperlapError("evolve applies to hypergraph input")

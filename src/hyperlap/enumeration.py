@@ -101,26 +101,39 @@ def _spend(used, limit, start):
                                   f"from index {start}; HYPERLAP_BUDGET overrides the limit")
 
 
+# Both DFSs below keep an explicit stack, so a walk's length is bounded by the
+# budget and not by Python's recursion limit. Children are pushed in reverse,
+# so they pop in lexicographic order: the visit order, and hence the budget
+# count at which a search stops, is that of a recursive preorder DFS.
+
 def _tally(start, kmax, steps, limit):
     """tally[k][end]: the sum over every walk of length k <= kmax from
     `start` to `end` of its sign, each walk visited once by a DFS."""
     tally = [[0] * len(steps) for _ in range(kmax + 1)]
     tally[0][start] = 1
     used = 1
-
-    def go(at, k, sign):
-        nonlocal used
+    stack = [(start, 0, 1)]
+    while stack:
+        at, k, sign = stack.pop()
         nxt = steps[at]
         used += len(nxt)
         _spend(used, limit, start)
-        row = tally[k + 1]
+        k += 1
+        row = tally[k]
         for _mid, b, s in nxt:
             row[b] += sign * s
         if k + 1 < kmax:
+            stack += [(b, k, sign * s) for _mid, b, s in reversed(nxt)]
+        elif k < kmax:
+            # the children would push nothing: visit them here, in the same order,
+            # which spares most of the stack traffic (they are most of the walks)
+            last = tally[kmax]
             for _mid, b, s in nxt:
-                go(b, k + 1, sign * s)
-
-    go(start, 0, 1)
+                used += len(steps[b])
+                _spend(used, limit, start)
+                s *= sign
+                for _mid, c, t in steps[b]:
+                    last[c] += s * t
     return tally
 
 
@@ -140,19 +153,16 @@ def _listed(obj, d, kind, kinds, i, j, k, budget):
     limit = budget if budget is not None else enumeration_budget()
     out = []
     used = 1
-
-    def go(path, at, depth, sign):
-        nonlocal used
+    stack = [((i,), i, 0, 1)]
+    while stack:
+        path, at, depth, sign = stack.pop()
         if depth == k:
             if at == j:
                 out.append((Walk(kind=kind, steps=path, level=d), sign))
-            return
+            continue
         used += len(steps[at])
         _spend(used, limit, i)
-        for mid, b, s in steps[at]:
-            go(path + (mid, b), b, depth + 1, sign * s)
-
-    go((i,), i, 0, 1)
+        stack += [(path + (mid, b), b, depth + 1, sign * s) for mid, b, s in reversed(steps[at])]
     return out
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .model import CWHypergraph, Hypergraph
+from hyperlap.model import CWHypergraph, Hypergraph
 
 
 def random_hypergraph(rng: random.Random, max_n: int = 5, max_m: int = 6) -> Hypergraph:

@@ -29,7 +29,7 @@ from hyperlap import (
     susy_laplacian,
     walk_sign,
 )
-from hyperlap.random_instances import random_cw, random_cw_level, random_hypergraph
+from random_instances import random_cw, random_cw_level, random_hypergraph
 
 FIG1 = builtin_fixture("fig1")
 FIG2 = builtin_fixture("fig2")

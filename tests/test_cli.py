@@ -94,6 +94,15 @@ def test_enumerate_budget_exceeded(capsys, monkeypatch):
     assert "HYPERLAP_BUDGET" in err
 
 
+def test_enumerate_long_walk(tmp_path, capsys):
+    p = tmp_path / "one.hg"
+    p.write_text("vertices 1\nedge e1 1\n")
+    code, out, _ = run(capsys, "enumerate", "--input", str(p), "--kind", "vertex",
+                       "--from", "1", "--to", "1", "--length", "1200", "--machine")
+    assert code == 0
+    assert out.splitlines()[-1] == "total=1"
+
+
 def test_evolve_trace(capsys):
     code, out, _ = run(capsys, "evolve", "--fixture", "fig1", "--theta", "0", "--trace")
     assert code == 0

@@ -19,7 +19,7 @@ from hyperlap import enumeration
 from hyperlap.enumeration import InvalidWalkError
 from hyperlap.laplacian import ExactMatrix
 from hyperlap.model import CWHypergraph, Hypergraph, InvalidStructureError
-from hyperlap.random_instances import random_cw, random_cw_level, random_hypergraph
+from random_instances import random_cw, random_cw_level, random_hypergraph
 
 
 def test_fig1_length_one_walks(fig1):
@@ -244,3 +244,11 @@ def test_cross_check_checked_and_mismatch_order(monkeypatch, fig1):
         (kind, i, j, k) for kind in ("vertex", "edge") for k in range(4) for i, j in ((1, 2), (2, 1), (3, 1))
     ]
     assert all(mv == ov + 1 for *_, mv, ov in report.mismatches)
+
+
+def test_long_walks_need_no_recursion():
+    # one vertex in one edge: a single walk of every length on each side,
+    # 1200 steps deep, far past Python's recursion limit
+    report = cross_check(Hypergraph(n=1, edges=((1,),)), 1200)
+    assert report.ok
+    assert report.checked == 2 * 1201

@@ -4,7 +4,7 @@ import pytest
 
 from hyperlap import ParseError, builtin_fixture, parse_cw, parse_hg, serialize
 from hyperlap.model import HyperlapError
-from hyperlap.random_instances import random_cw, random_hypergraph
+from random_instances import random_cw, random_hypergraph
 
 
 def test_parse_minimal_hg():

@@ -14,7 +14,7 @@ from hyperlap import (
     susy_laplacian,
 )
 from hyperlap.model import LevelOutOfRangeError
-from hyperlap.random_instances import random_cw_level, random_hypergraph
+from random_instances import random_cw_level, random_hypergraph
 
 
 @st.composite

@@ -83,7 +83,7 @@ def test_boundary_squared_diagnostic_matches_dense_composition():
     import random
 
     from hyperlap.laplacian import d_incidence, mat_mul
-    from hyperlap.random_instances import random_cw
+    from random_instances import random_cw
 
     rng = random.Random(5)
     seen = set()

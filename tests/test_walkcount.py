@@ -15,7 +15,7 @@ from hyperlap import (
 )
 from hyperlap.laplacian import _incidence_lists
 from hyperlap.model import HyperlapError, IndexOutOfRangeError, InvalidStructureError
-from hyperlap.random_instances import random_cw, random_cw_level, random_hypergraph
+from random_instances import random_cw, random_cw_level, random_hypergraph
 from hyperlap.walkcount import _binary_power, _prefers_binary_power, _sparse_steps, power_table
 
 
