@@ -54,11 +54,8 @@ class ExactMatrix:
         return sum(self.entries[i][i] for i in range(self.dim))
 
     def is_symmetric(self) -> bool:
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        )
+        """Each row equals the matching column, compared exactly."""
+        return all(tuple(row) == col for row, col in zip(self.entries, zip(*self.entries)))
 
 
 class _Incidence(NamedTuple):
@@ -219,10 +216,6 @@ def susy_laplacian(h: Hypergraph) -> ExactMatrix:
     inc = _incidence_lists(h)
     even = _row_square(inc)
     odd = _row_square(inc.transposed())
-    n, m = h.n, h.m
-    rows = [[0] * (n + m) for _ in range(n + m)]
-    for i in range(n):
-        rows[i][:n] = even[i]
-    for i in range(m):
-        rows[n + i][n:] = odd[i]
-    return ExactMatrix(dim=n + m, entries=_freeze(rows), tag="susy")
+    pad_m, pad_n = (0,) * inc.cols, (0,) * inc.rows
+    rows = tuple(r + pad_m for r in even) + tuple(pad_n + r for r in odd)
+    return ExactMatrix(dim=inc.rows + inc.cols, entries=rows, tag="susy")

@@ -109,6 +109,15 @@ def test_evolve_trace(capsys):
     assert out.strip() == "13+0i"
 
 
+def test_evolve_without_edges(tmp_path, capsys):
+    p = tmp_path / "bare.hg"
+    p.write_text("vertices 3\n")
+    code, out, _ = run(capsys, "evolve", "--input", str(p), "--theta", "0.5", "--trace")
+    assert (code, out.strip()) == (0, "3+0i")
+    code, out, _ = run(capsys, "evolve", "--input", str(p), "--theta", "0.5")
+    assert (code, out.splitlines()) == (0, ["1+0i 0+0i 0+0i", "0+0i 1+0i 0+0i", "0+0i 0+0i 1+0i"])
+
+
 def test_fixture_emit_round_trips(capsys):
     from hyperlap import builtin_fixture, parse_cw
 

@@ -1,4 +1,5 @@
 import cmath
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hyperlap import (
 from hyperlap.evolve import NotSymmetricError, format_complex
 from hyperlap.laplacian import ExactMatrix
 from hyperlap.model import HyperlapError
+from random_instances import random_hypergraph
 
 
 def test_theta_zero_is_exact_identity(fig1):
@@ -33,7 +35,7 @@ def test_non_symmetric_rejected():
         evolution_operator(m, 0.5)
 
 
-@pytest.mark.parametrize("theta", [0.01, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("theta", [0.01, 0.1, 1.0, 10.0, 1e6, 1e10])
 def test_unitarity(fig1, theta):
     u = evolution_operator(susy_laplacian(fig1), theta)
     assert np.abs(u @ u.conj().T - np.eye(13)).max() < 1e-10
@@ -91,11 +93,26 @@ def test_partition_trace_block_additivity(fig1):
     theta = 0.05
     full = np.trace(evolution_operator(susy_laplacian(fig1), theta))
     assert abs(partition_trace(fig1, theta) - full) < 1e-10
+    rng = random.Random(9)
+    cases = [random_hypergraph(rng, 7, 9) for _ in range(30)] + [
+        Hypergraph(n=5, edges=((1, 2), (2, 3, 4))),  # n > m, vertex 5 isolated
+        Hypergraph(n=2, edges=((1,), (1, 2), (2,))),  # n < m
+        Hypergraph(n=3, edges=()),  # m = 0
+        fig1,
+    ]
+    for h in cases:
+        susy = susy_laplacian(h)
+        for theta in (-2.5, 0.05, 0.7, 3.0, 40.0):
+            u = evolution_operator(susy, theta)
+            # the blocks never mix, exactly: the CLI prints them as 0+0i
+            assert not u[: h.n, h.n :].any() and not u[h.n :, : h.n].any()
+            assert abs(partition_trace(h, theta) - np.trace(u)) < 1e-10
 
 
 def test_format_complex():
     assert format_complex(1 + 2j) == "1+2i"
     assert format_complex(-0.5 - 0.25j) == "-0.5-0.25i"
+    assert format_complex(complex(-0.0, 0.0)) == "0+0i"
 
 
 @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
@@ -106,7 +123,7 @@ def test_non_finite_theta_rejected(fig1, theta):
         partition_trace(fig1, theta)
 
 
-@pytest.mark.parametrize("theta", [1e100, 1e300, 1e307, 1.7e308])
+@pytest.mark.parametrize("theta", [1e15, 1e100, 1e300, 1e307, 1.7e308])
 def test_overflowing_theta_rejected(fig1, theta):
     with pytest.raises(HyperlapError, match="too large"):
         evolution_operator(susy_laplacian(fig1), theta)

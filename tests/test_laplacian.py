@@ -13,6 +13,7 @@ from hyperlap import (
     incidence,
     susy_laplacian,
 )
+from hyperlap.laplacian import ExactMatrix
 from hyperlap.model import LevelOutOfRangeError
 from random_instances import random_cw_level, random_hypergraph
 
@@ -140,6 +141,13 @@ def test_cw_laplacians_symmetric_and_trace_identity(x):
     odd = cw_laplacian(x, 0, "odd")
     assert even.is_symmetric() and odd.is_symmetric()
     assert even.trace() == odd.trace() == len(x.incidences[0])
+
+
+def test_is_symmetric_is_exact_and_takes_list_rows():
+    assert ExactMatrix(dim=2, entries=[[1, 2], [2, 5]]).is_symmetric()
+    big = 10**400
+    assert not ExactMatrix(dim=2, entries=((0, big), (big + 1, 0))).is_symmetric()
+    assert ExactMatrix(dim=2, entries=((0, big), (big, 0))).is_symmetric()
 
 
 def test_positive_semidefinite_witness(fig1, fig2):
