@@ -20,6 +20,7 @@ from .laplacian import ExactMatrix, _incidence_lists, _row_square
 from .model import Hypergraph, HyperlapError, InvalidArgumentError
 
 _PHASE_LIMIT = 2**52
+_FLOAT_MAX = int(np.finfo(float).max)
 
 
 class NotSymmetricError(HyperlapError):
@@ -27,12 +28,16 @@ class NotSymmetricError(HyperlapError):
 
 
 def _check_theta(theta: float, rows) -> None:
-    """Reject a non-finite theta, and one whose phases double precision
-    cannot resolve; |theta|*rho is compared in integers, so no entry meets a
-    float."""
+    """Reject a non-finite theta, entries past the double range, and a theta
+    whose phases double precision cannot resolve; rho and |theta|*rho are
+    compared in integers, so no entry meets a float before it passes."""
     if not math.isfinite(theta):
         raise InvalidArgumentError(f"theta must be finite, got {theta}")
     rho = max((sum(map(abs, row)) for row in rows), default=0)
+    if rho > _FLOAT_MAX:
+        raise InvalidArgumentError(
+            f"entries are too large for double precision: the eigenvalue bound has {rho.bit_length()} bits"
+        )
     num, den = abs(theta).as_integer_ratio()
     if num * rho >= _PHASE_LIMIT * den:
         raise InvalidArgumentError(

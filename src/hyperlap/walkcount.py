@@ -3,18 +3,21 @@
 (Delta+)^k(i,j) counts hyperwalks of length k from v_i to v_j; (Delta-)^k
 counts edge-hyperwalks; at CW levels the signed Laplacian powers give
 signed sums over (d,d+1)- and (d+1,d)-hyperwalks. Each factor I.I^t is one
-hyperwalk step (row -> incident column -> row), so a single entry is read
-without forming Delta: start from e_i and take k sparse steps over the
-incidence lists. Only for tiny dimensions at huge k is binary exponentiation
-of the smaller side's Gram matrix cheaper; the route is chosen from the
-input by counting the work of each.
+hyperwalk step (row -> incident column -> row). Delta is symmetric, so a
+walk split at its midpoint reads an entry without forming Delta as
+<H^k e_i, H^k e_j>: two sweeps of k half-steps v.I / w.I^t over the
+incidence lists, each carrying half the entry's bits. Only for tiny
+dimensions at huge k is binary exponentiation of the smaller side's Gram
+matrix (to half the power) cheaper; the route is chosen from the input by
+counting the work of each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-from .laplacian import ExactMatrix, _Incidence, _incidence_lists, _laplacian, identity, mat_mul
+from .laplacian import ExactMatrix, _Incidence, _incidence_lists, _row_square, identity, mat_mul
 from .model import CWHypergraph, Hypergraph, IndexOutOfRangeError, InvalidArgumentError
 
 
@@ -35,18 +38,15 @@ class CountResult:
 
 
 def matrix_power(m: ExactMatrix, k: int) -> ExactMatrix:
-    """Exact m^k by binary exponentiation; m^0 is the identity."""
+    """Exact m^k by left-to-right binary exponentiation: square, then
+    multiply by m (whose entries are small) on a 1 bit; m^0 is the identity."""
     if k < 0:
         raise InvalidArgumentError("negative power")
     result = identity(m.dim)
-    base = m.entries
-    e = k
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
+    for bit in bin(k)[2:]:
+        result = mat_mul(result, result)
+        if bit == "1":
+            result = mat_mul(result, m.entries)
     return ExactMatrix(dim=m.dim, entries=result, tag=f"{m.tag}^{k}")
 
 
@@ -88,47 +88,80 @@ def _walk_entry(obj: Hypergraph | CWHypergraph, q: WalkQuery) -> CountResult:
 
 
 def _prefers_binary_power(inc: _Incidence, k: int) -> bool:
-    """Binary power does ~2*s^3 multiply-adds per product, bit_length(k)
-    products, on an s x s Gram matrix with s the smaller side; sparse steps
-    do ~2*nnz additions per step, k steps."""
+    """Binary power squares the s x s Gram matrix, s the smaller side, about
+    bit_length(k) - 2 times at ~s^3/2 multiply-adds each; sparse steps take
+    at most 2k half-steps of ~nnz additions (k when i == j). The rule,
+    2*s^3*bit_length(k) < 2*k*nnz, weighs the squarings 4x over that count
+    and leaves out the bits, which both routes halve."""
     s = min(inc.rows, inc.cols)
     return 2 * s**3 * k.bit_length() < 2 * k * inc.nnz
 
 
-def _sparse_steps(inc: _Incidence, i: int, j: int, k: int) -> int:
-    """Entry (i, j), 0-based, of (I.I^t)^k over the rows of inc: start from
-    e_i and apply v <- (v.I).I^t; the last step is only needed at row j."""
-    if k == 0:
-        return int(i == j)
-    by_row, by_col = inc.by_row, inc.by_col
+def _sweep(inc: _Incidence, i: int, k: int) -> list[int]:
+    """H^k e_i, 0-based: k half-steps from e_i over the rows of inc,
+    alternately v <- v.I (onto the columns) and w <- w.I^t (back)."""
+    pairs, back = inc.by_row, inc.by_col
     v = [0] * inc.rows
     v[i] = 1
-    for step in range(k):
-        w = [0] * inc.cols
+    for _ in range(k):
+        w = [0] * len(back)
         for r, x in enumerate(v):
             if x:
-                for c, s in by_row[r]:
+                for c, s in pairs[r]:
                     w[c] += s * x
-        if step == k - 1:
-            return sum(s * w[c] for c, s in by_row[j])
-        v = [0] * inc.rows
-        for c, y in enumerate(w):
-            if y:
-                for r, s in by_col[c]:
-                    v[r] += s * y
+        v, pairs, back = w, back, pairs
+    return v
+
+
+def _sparse_steps(inc: _Incidence, i: int, j: int, k: int) -> int:
+    """Entry (i, j), 0-based, of (I.I^t)^k over the rows of inc as
+    <H^k e_i, H^k e_j>: a length-k walk is k half-steps out of i joined to
+    k half-steps out of j. When k is odd both sweeps end on the columns."""
+    x = _sweep(inc, i, k)
+    y = x if i == j else _sweep(inc, j, k)
+    return sum(map(mul, x, y))
+
+
+def _sym_product(p, q) -> list[list[int]]:
+    """p.q for symmetric p and q that commute (powers of one Gram matrix),
+    so the product is symmetric too: only the upper triangle is computed,
+    entry (a, b) as row a of p against row b (= column b) of q."""
+    s = len(p)
+    out = [[0] * s for _ in range(s)]
+    for a in range(s):
+        pa, oa = p[a], out[a]
+        for b in range(a, s):
+            oa[b] = out[b][a] = sum(map(mul, pa, q[b]))
+    return out
+
+
+def _times(x: list[int], m) -> list[int]:
+    """x.m for a symmetric m, whose rows are its columns."""
+    return [sum(map(mul, x, row)) for row in m]
 
 
 def _binary_power(inc: _Incidence, i: int, j: int, k: int) -> int:
-    """The same entry by binary exponentiation of the smaller side's Gram
-    matrix. When the rows are the larger side, (I.I^t)^k = I.(I^t.I)^(k-1).I^t,
-    so the entry sums s*t*(I^t.I)^(k-1)(a, b) over row i's pairs (a, s) and
-    row j's pairs (b, t)."""
-    if inc.rows <= inc.cols:
-        return matrix_power(_laplacian(inc, "even"), k).entries[i][j]
-    if k == 0:
+    """The same entry through the smaller side's Gram matrix G, as
+    x.G^e.y^t with P = G^(e//2) applied to each end: <x.P.G^(e%2), y.P>.
+    When the rows are the smaller side, x and y are e_i and e_j and e = k;
+    otherwise (I.I^t)^k = I.(I^t.I)^(k-1).I^t, so x and y are rows i and j
+    of I (one half-step from e_i and e_j) and e = k - 1."""
+    flip = int(inc.rows > inc.cols)
+    if flip and k == 0:
         return int(i == j)
-    p = matrix_power(_laplacian(inc, "odd"), k - 1).entries
-    return sum(s * t * p[a][b] for a, s in inc.by_row[i] for b, t in inc.by_row[j])
+    g = _row_square(inc.transposed() if flip else inc)
+    x, y, e = _sweep(inc, i, flip), _sweep(inc, j, flip), k - flip
+    if e >> 1:
+        p = g
+        for bit in bin(e >> 1)[3:]:
+            p = _sym_product(p, p)
+            if bit == "1":
+                p = _sym_product(p, g)
+        x = _times(x, p)
+        y = x if i == j else _times(y, p)
+    if e & 1:
+        x = _times(x, g)
+    return sum(map(mul, x, y))
 
 
 def power_table(m: ExactMatrix, kmax: int) -> list[ExactMatrix]:

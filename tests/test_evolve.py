@@ -129,3 +129,14 @@ def test_overflowing_theta_rejected(fig1, theta):
         evolution_operator(susy_laplacian(fig1), theta)
     with pytest.raises(ValueError, match="too large"):
         partition_trace(fig1, theta)
+
+
+def test_entries_past_the_double_range_rejected():
+    # theta is tiny enough to pass the phase guard; the entry cannot become a float
+    with pytest.raises(HyperlapError, match="too large for double precision"):
+        evolution_operator(ExactMatrix(dim=1, entries=((10**320,),)), 1e-310)
+    # each entry is a double, but the eigenvalue 2e308 is not
+    with pytest.raises(ValueError, match="too large for double precision"):
+        evolution_operator(ExactMatrix(dim=2, entries=((10**308, 10**308), (10**308, 10**308))), 1e-310)
+    u = evolution_operator(ExactMatrix(dim=1, entries=((10**300,),)), 1e-310)
+    assert abs(u[0, 0] - cmath.exp(-1e-10j)) < 1e-15

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlap import (
     CWHypergraph,
@@ -13,6 +15,7 @@ from hyperlap import (
     matrix_power,
     signed_count,
 )
+from hyperlap import walkcount
 from hyperlap.laplacian import _incidence_lists
 from hyperlap.model import HyperlapError, IndexOutOfRangeError, InvalidStructureError
 from random_instances import random_cw, random_cw_level, random_hypergraph
@@ -163,17 +166,27 @@ def _random_levels(seed):
 def test_routes_agree_with_dense_powers():
     rng = random.Random(11)
     compared = 0
+    shapes = {"rows < cols": 0, "rows > cols": 0, "signed": 0}
     for inc, even, odd in _random_levels(7):
         for side, lap in ((inc, even), (inc.transposed(), odd)):
             if side.rows == 0:
                 continue
-            for k in (0, 1, 2, 7):
-                i, j = rng.randrange(side.rows), rng.randrange(side.rows)
-                want = matrix_power(lap, k).entries[i][j]
-                assert _sparse_steps(side, i, j, k) == want
-                assert _binary_power(side, i, j, k) == want
-                compared += 1
+            shapes["rows < cols"] += side.rows < side.cols
+            shapes["rows > cols"] += side.rows > side.cols
+            shapes["signed"] += any(s < 0 for pairs in side.by_row for _, s in pairs)
+            for k in (0, 1, 2, 3, 4, 7, 8, 31, 32):
+                power = matrix_power(lap, k).entries
+                a = rng.randrange(side.rows)
+                pairs = [(a, a)]
+                if side.rows > 1:
+                    pairs.append((a, rng.choice([b for b in range(side.rows) if b != a])))
+                for i, j in pairs:
+                    want = power[i][j]
+                    assert _sparse_steps(side, i, j, k) == want
+                    assert _binary_power(side, i, j, k) == want
+                    compared += 1
     assert compared > 400
+    assert min(shapes.values()) > 20, shapes
 
 
 @pytest.mark.parametrize("kind, i, j", [("vertex", 1, 3), ("edge", 7, 9)])
@@ -194,6 +207,78 @@ def test_route_rule_picks_binary_power_only_for_tiny_dimension_at_huge_k(fig1):
     big = _incidence_lists(Hypergraph(n=40, edges=tuple(
         tuple(sorted(rng.sample(range(1, 41), 4))) for _ in range(120))))
     assert not _prefers_binary_power(big, 32)
+
+
+@st.composite
+def walk_queries(draw):
+    """A small hypergraph or signed one-level CW-hypergraph, and a query on
+    it of a kind whose side is not empty."""
+    lower, upper = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    pairs = [(i, j) for i in range(1, lower + 1) for j in range(1, upper + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    if draw(st.booleans()):
+        edges = tuple(tuple(sorted(i for i, c in chosen if c == j)) for j in range(1, upper + 1))
+        obj = Hypergraph(n=lower, edges=tuple(e for e in edges if e))
+        kinds = {"vertex": obj.n, "edge": obj.m}
+    else:
+        signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=len(chosen), max_size=len(chosen)))
+        obj = CWHypergraph(counts=(lower, upper),
+                           incidences=(tuple((i, j, s) for (i, j), s in zip(chosen, signs)),))
+        kinds = {"lower": lower, "upper": upper}
+    kind = draw(st.sampled_from(sorted(k for k, size in kinds.items() if size)))
+    size = kinds[kind]
+    i, j = draw(st.integers(1, size)), draw(st.integers(1, size))
+    return obj, WalkQuery(kind, i, j, draw(st.integers(0, 12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_queries())
+def test_queries_equal_dense_power_entries(case):
+    obj, q = case
+    if q.kind in ("vertex", "edge"):
+        lap = hypergraph_laplacian(obj, "even" if q.kind == "vertex" else "odd")
+        value = count_walks(obj, q).value
+    else:
+        lap = cw_laplacian(obj, 0, "even" if q.kind == "lower" else "odd")
+        value = signed_count(obj, q).value
+    assert value == matrix_power(lap, q.length).entry(q.from_index, q.to_index)
+
+
+def test_binary_power_squares_to_half_the_power_without_mat_mul(fig1, monkeypatch):
+    squarings = []
+    product = walkcount._sym_product
+
+    def counted(p, q):
+        squarings.append(p is q)
+        return product(p, q)
+
+    def forbidden(*args):
+        raise AssertionError("mat_mul called")
+
+    monkeypatch.setattr(walkcount, "_sym_product", counted)
+    monkeypatch.setattr(walkcount, "mat_mul", forbidden)
+    monkeypatch.setattr("hyperlap.laplacian.mat_mul", forbidden)
+    inc = _incidence_lists(fig1)
+    assert _prefers_binary_power(inc, 4000)
+    value = count_walks(fig1, WalkQuery("vertex", 1, 3, 4000)).value
+    assert sum(squarings) == (2000).bit_length() - 1
+    monkeypatch.undo()
+    assert value == _sparse_steps(inc, 0, 2, 4000)
+
+
+@pytest.mark.parametrize("i, j, sweeps", [(2, 2, 1), (0, 2, 2)])
+def test_sparse_steps_sweeps_once_on_the_diagonal(fig1, monkeypatch, i, j, sweeps):
+    calls = []
+    sweep = walkcount._sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(walkcount, "_sweep", counted)
+    inc = _incidence_lists(fig1)
+    assert _sparse_steps(inc, i, j, 9) == matrix_power(hypergraph_laplacian(fig1, "even"), 9).entries[i][j]
+    assert len(calls) == sweeps
 
 
 def test_sparse_laplacians_equal_dense_gram():
