@@ -169,7 +169,7 @@ def _cmd_evolve(args) -> int:
         _emit(args, text, f"trace={text}")
     else:
         u = evolve.evolution_operator(laplacian.susy_laplacian(obj), args.theta)
-        for i, row in enumerate(u, start=1):
+        for i, row in enumerate(u.tolist(), start=1):
             line = " ".join(evolve.format_complex(z) for z in row)
             print(f"row{i}={line}" if args.machine else line)
     return 0

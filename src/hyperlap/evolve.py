@@ -2,12 +2,25 @@
 
 theta stands in for t/hbar. Double precision on purpose: the exponential is
 transcendental, so correctness is pinned by unitarity / composition
-tolerances rather than exactness. Delta is real symmetric, so U(theta) =
+tolerances rather than exactness. A symmetric real matrix gets U(theta) =
 V.diag(exp(-i*theta*lambda)).V^t from one `eigh` (the "eigenvectors" method
-of Moler and Van Loan, 2003), unitary to rounding at every theta. The phase
-error grows like |theta|*rho*2^-53, rho being the largest absolute row sum of
-Delta (a bound on every |lambda|), so theta is rejected once |theta|*rho
-reaches 2^52, where neighbouring doubles near theta*lambda lie >= 1 rad apart.
+of Moler and Van Loan, 2003), unitary to rounding at every theta.
+
+The supersymmetric Laplacian is the square of the supercharge
+Q = [[0, I], [I^t, 0]], Delta = Q^2 = I.I^t (+) I^t.I, so a matrix from
+`susy_laplacian` takes a shorter route. With A the smaller side of I (s x t,
+s <= t) and A.A^t = V.diag(lambda).V^t from one s x s `eigh`, the columns of
+W = A^t.V are the other block's eigenvectors scaled by sqrt(lambda): the small
+block is V.diag(exp(-i*theta*lambda)).V^t and the large one
+1 + W.diag(phi).W^t, with phi(lambda) = expm1(-i*theta*lambda)/lambda, the
+first phi-function of exponential integrators, and phi(0) = -i*theta, its
+limit (that column of W is zero). The blocks never mix, so the rest of U is
+exact zeros (Golub and Van Loan, Matrix Computations, on the SVD).
+
+The phase error grows like |theta|*rho*2^-53, rho being the largest absolute
+row sum of Delta (a bound on every |lambda|), so theta is rejected once
+|theta|*rho reaches 2^52, where neighbouring doubles near theta*lambda lie
+>= 1 rad apart; both routes keep that guard.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ import math
 
 import numpy as np
 
-from .laplacian import ExactMatrix, _incidence_lists, _row_square
+from .laplacian import ExactMatrix, _Incidence, _incidence_lists, _row_square
 from .model import Hypergraph, HyperlapError, InvalidArgumentError
 
 _PHASE_LIMIT = 2**52
@@ -31,7 +44,11 @@ def _check_theta(theta: float, rows) -> None:
     """Reject a non-finite theta, entries past the double range, and a theta
     whose phases double precision cannot resolve; rho and |theta|*rho are
     compared in integers, so no entry meets a float before it passes."""
-    if not math.isfinite(theta):
+    try:
+        finite = math.isfinite(theta)
+    except OverflowError:  # an int past the double range
+        raise InvalidArgumentError("theta is too large: it is past the double range") from None
+    if not finite:
         raise InvalidArgumentError(f"theta must be finite, got {theta}")
     rho = max((sum(map(abs, row)) for row in rows), default=0)
     if rho > _FLOAT_MAX:
@@ -46,13 +63,44 @@ def _check_theta(theta: float, rows) -> None:
         )
 
 
+def _smaller_side(inc: _Incidence) -> _Incidence:
+    """The side A (s x t, s <= t) whose Gram A.A^t is the smaller one."""
+    return inc if inc.rows <= inc.cols else inc.transposed()
+
+
+def _gram_operator(inc: _Incidence, theta: float) -> np.ndarray:
+    """U(theta) on I.I^t (+) I^t.I by the Gram route of the module
+    docstring, vertex block first; the off-diagonal blocks stay exact zeros."""
+    side = _smaller_side(inc)
+    a = np.zeros((side.rows, side.cols))
+    for r, pairs in enumerate(side.by_row):
+        for c, s in pairs:
+            a[r, c] = s
+    lam, v = np.linalg.eigh(a @ a.T)
+    w = a.T @ v
+    phi = np.divide(np.expm1(-1j * theta * lam), lam, out=np.full(lam.shape, -1j * theta), where=lam != 0)
+    small = (v * np.exp(-1j * theta * lam)) @ v.T
+    large = (w * phi) @ w.T
+    large.flat[:: side.cols + 1] += 1
+    n = inc.rows
+    u = np.zeros((n + inc.cols, n + inc.cols), dtype=complex)
+    u[:n, :n], u[n:, n:] = (small, large) if side is inc else (large, small)
+    return u
+
+
 def evolution_operator(m: ExactMatrix, theta: float) -> np.ndarray:
-    """U(theta) = exp(-i*theta*m); unitary because m is symmetric real."""
+    """U(theta) = exp(-i*theta*m); unitary because m is symmetric real. A
+    matrix from `susy_laplacian` takes the route through its incidence's
+    smaller Gram."""
+    if len(m.entries) != m.dim or any(len(row) != m.dim for row in m.entries):
+        raise InvalidArgumentError(f"entries must be {m.dim} rows of {m.dim}")
     _check_theta(theta, m.entries)
     if not m.is_symmetric():
         raise NotSymmetricError("evolution requires a symmetric matrix")
     if theta == 0:
         return np.eye(m.dim, dtype=complex)
+    if m._incidence is not None:
+        return _gram_operator(m._incidence, theta)
     lam, v = np.linalg.eigh(np.array(m.entries, dtype=float).reshape(m.dim, m.dim))
     return (v * np.exp(-1j * theta * lam)) @ v.T
 
@@ -73,7 +121,7 @@ def partition_trace(h: Hypergraph, theta: float) -> complex:
     their nonzero eigenvalues, so it is 2*sum(exp(-i*theta*lambda)) + |n-m|
     over the smaller Gram's eigenvalues; a zero one adds 1 on each side."""
     inc = _incidence_lists(h)
-    side = inc if inc.rows <= inc.cols else inc.transposed()
+    side = _smaller_side(inc)
     gram = _row_square(side)
     _check_theta(theta, gram)
     lam = np.linalg.eigvalsh(np.array(gram, dtype=float).reshape(side.rows, side.rows))
@@ -83,7 +131,4 @@ def partition_trace(h: Hypergraph, theta: float) -> complex:
 def format_complex(z: complex, digits: int = 12) -> str:
     """`a+bi` with the given number of significant digits; a signed zero
     prints as 0."""
-    re = f"{z.real + 0.0:.{digits}g}"
-    im = f"{abs(z.imag):.{digits}g}"
-    sign = "-" if z.imag < 0 else "+"
-    return f"{re}{sign}{im}i"
+    return f"{z.real + 0.0:.{digits}g}{z.imag + 0.0:+.{digits}g}i"

@@ -12,7 +12,7 @@ which matters because walk counts grow geometrically with the power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .model import CWHypergraph, Hypergraph, InvalidArgumentError, InvalidStructureError, LevelOutOfRangeError
@@ -40,11 +40,14 @@ class SignedIncidenceMatrix:
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Dense square integer matrix (a Laplacian or a power of one)."""
+    """Dense square integer matrix (a Laplacian or a power of one).
+    `susy_laplacian` keeps the incidence it was built from in `_incidence`,
+    outside equality, hash and repr; `dataclasses.replace` drops it."""
 
     dim: int
     entries: tuple[tuple[int, ...], ...]
     tag: str = "plain"
+    _incidence: _Incidence | None = field(default=None, init=False, repr=False, compare=False)
 
     def entry(self, i: int, j: int) -> int:
         """1-based entry access."""
@@ -218,4 +221,6 @@ def susy_laplacian(h: Hypergraph) -> ExactMatrix:
     odd = _row_square(inc.transposed())
     pad_m, pad_n = (0,) * inc.cols, (0,) * inc.rows
     rows = tuple(r + pad_m for r in even) + tuple(pad_n + r for r in odd)
-    return ExactMatrix(dim=inc.rows + inc.cols, entries=rows, tag="susy")
+    out = ExactMatrix(dim=inc.rows + inc.cols, entries=rows, tag="susy")
+    object.__setattr__(out, "_incidence", inc)
+    return out

@@ -1,4 +1,6 @@
 import cmath
+import collections
+import dataclasses
 import random
 
 import numpy as np
@@ -14,7 +16,7 @@ from hyperlap import (
 )
 from hyperlap.evolve import NotSymmetricError, format_complex
 from hyperlap.laplacian import ExactMatrix
-from hyperlap.model import HyperlapError
+from hyperlap.model import HyperlapError, InvalidArgumentError
 from random_instances import random_hypergraph
 
 
@@ -115,6 +117,27 @@ def test_format_complex():
     assert format_complex(complex(-0.0, 0.0)) == "0+0i"
 
 
+def _three_part_format(z: complex, digits: int = 12) -> str:
+    re = f"{z.real + 0.0:.{digits}g}"
+    im = f"{abs(z.imag):.{digits}g}"
+    sign = "-" if z.imag < 0 else "+"
+    return f"{re}{sign}{im}i"
+
+
+def test_format_complex_matches_the_three_part_formula():
+    parts = (0.0, -0.0, 1.5, -1.5, 1e-300, -1e-300, 1e300, -1e300, 2 / 3, -1 / 3,
+             float("inf"), float("-inf"))
+    for re in parts:
+        for im in parts:
+            z = complex(re, im)
+            for value in (z, np.complex128(z)):
+                assert format_complex(value) == _three_part_format(z)
+                assert format_complex(value, 3) == _three_part_format(z, 3)
+    assert format_complex(complex(0.0, -0.0)) == "0+0i"
+    assert format_complex(complex(1e300, -1e-300)) == "1e+300-1e-300i"
+    assert format_complex(complex(float("-inf"), float("-inf"))) == "-inf-infi"
+
+
 @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_theta_rejected(fig1, theta):
     with pytest.raises(HyperlapError, match="finite"):
@@ -140,3 +163,104 @@ def test_entries_past_the_double_range_rejected():
         evolution_operator(ExactMatrix(dim=2, entries=((10**308, 10**308), (10**308, 10**308))), 1e-310)
     u = evolution_operator(ExactMatrix(dim=1, entries=((10**300,),)), 1e-310)
     assert abs(u[0, 0] - cmath.exp(-1e-10j)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: partition_trace(Hypergraph(n=2, edges=((1, 2),)), 10**400),
+        lambda: evolution_operator(ExactMatrix(dim=1, entries=((1,),)), 10**400),
+        lambda: evolution_operator(ExactMatrix(dim=3, entries=((1,),)), 0.5),
+        lambda: evolution_operator(ExactMatrix(dim=2, entries=((1, 2), (2,))), 0.5),
+        lambda: evolution_operator(ExactMatrix(dim=0, entries=((),)), 0.5),
+    ],
+    ids=["trace-int-theta", "operator-int-theta", "too-few-rows", "ragged", "too-many-rows"],
+)
+def test_malformed_input_is_an_invalid_argument(call):
+    with pytest.raises(InvalidArgumentError):
+        call()
+
+
+_SHAPED_CASES = [
+    Hypergraph(n=5, edges=((1, 2), (2, 3, 4))),  # n > m, vertex 5 isolated
+    Hypergraph(n=2, edges=((1,), (1, 2), (2,))),  # n < m
+    Hypergraph(n=3, edges=()),  # m = 0
+    Hypergraph(n=4, edges=((1, 2), (1, 2), (3, 4), (3, 4), (1, 2, 3, 4))),  # n < m, Gram of rank 2
+]
+
+
+def _gram_route_cases():
+    rng = random.Random(15)
+    return [random_hypergraph(rng, 12, 14) for _ in range(200)] + _SHAPED_CASES
+
+
+def _shapes(h):
+    """The input shapes the Gram route must cover, as flags for h."""
+    gram = np.array(hypergraph_laplacian(h, "even" if h.n <= h.m else "odd").entries, dtype=float)
+    covered = set().union(*h.edges)
+    return {
+        "n < m": h.n < h.m,
+        "n > m": h.n > h.m,
+        "m = 0": h.m == 0,
+        "isolated vertex": len(covered) < h.n,
+        "rank-deficient Gram": 0 < min(h.n, h.m) and np.linalg.matrix_rank(gram) < min(h.n, h.m),
+    }
+
+
+def test_gram_route_matches_the_generic_route(fig1):
+    seen = collections.Counter()
+    for h in _gram_route_cases() + [fig1]:
+        seen.update(shape for shape, hit in _shapes(h).items() if hit)
+        susy = susy_laplacian(h)
+        generic = ExactMatrix(dim=susy.dim, entries=susy.entries)
+        for theta in (-2.5, 0.05, 3.0, 40.0):
+            assert np.abs(evolution_operator(susy, theta) - evolution_operator(generic, theta)).max() < 1e-12
+    assert len(seen) == 5, seen
+    assert seen["n < m"] > 20 and seen["n > m"] > 20 and seen["rank-deficient Gram"] > 20, seen
+
+
+@pytest.mark.parametrize("theta", [1e6, 1e10])
+def test_gram_route_is_unitary_with_exact_zero_blocks(fig1, theta):
+    for h in _gram_route_cases() + [fig1]:
+        u = evolution_operator(susy_laplacian(h), theta)
+        assert np.abs(u @ u.conj().T - np.eye(h.n + h.m)).max() < 1e-10
+        assert not u[: h.n, h.n :].any() and not u[h.n :, : h.n].any()
+
+
+def test_susy_matrix_equality_hash_and_repr_ignore_the_incidence(fig1):
+    susy = susy_laplacian(fig1)
+    plain = ExactMatrix(dim=susy.dim, entries=susy.entries, tag="susy")
+    assert susy._incidence is not None and plain._incidence is None
+    assert susy == plain and hash(susy) == hash(plain) and repr(susy) == repr(plain)
+    assert "_incidence" not in repr(susy)
+
+
+def _eigh_shapes(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        shapes.append(np.shape(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return shapes
+
+
+def test_replace_drops_the_incidence_and_takes_the_generic_route(fig1, monkeypatch):
+    susy = susy_laplacian(fig1)
+    copy = dataclasses.replace(susy, entries=susy.entries)
+    assert copy == susy and copy._incidence is None
+    shapes = _eigh_shapes(monkeypatch)
+    u = evolution_operator(copy, 0.7)
+    assert shapes == [(13, 13)]
+    assert np.abs(u - evolution_operator(susy, 0.7)).max() < 1e-12
+
+
+def test_susy_operator_is_one_eigh_of_the_smaller_gram(fig1, monkeypatch):
+    shapes = _eigh_shapes(monkeypatch)
+    for h in _SHAPED_CASES + [fig1]:
+        shapes.clear()
+        evolution_operator(susy_laplacian(h), 0.7)
+        s = min(h.n, h.m)
+        assert shapes == [(s, s)], (h, shapes)
