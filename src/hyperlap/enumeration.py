@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .laplacian import cw_laplacian, hypergraph_laplacian
-from .model import (CWHypergraph, Hypergraph, HyperlapError, InvalidArgumentError, InvalidStructureError,
-                    LevelOutOfRangeError, validate)
+from .model import (CWHypergraph, Hypergraph, HyperlapError, InvalidArgumentError, LevelOutOfRangeError,
+                    _check_structure)
 from .walkcount import _check_index, power_table
 
 DEFAULT_BUDGET = 10_000_000
@@ -76,9 +76,7 @@ def _levels(obj: Hypergraph | CWHypergraph) -> list[tuple[list, list]]:
     (d+1)-cell c, in lexicographic order, 1-based with slot 0 unused. The
     sign is the product of the step's two incidence signs; a hypergraph is
     level 0 with all signs +1. Raises for any structure `validate` rejects."""
-    errors = [i for i in validate(obj).issues if i.severity == "error"]
-    if errors:
-        raise InvalidStructureError(f"invalid structure: {errors[0].location}: {errors[0].message}")
+    _check_structure(obj)
     if isinstance(obj, Hypergraph):
         shapes = [((obj.n, obj.m), ((v, j, 1) for j, e in enumerate(obj.edges, start=1) for v in e))]
     else:

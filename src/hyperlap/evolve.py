@@ -92,8 +92,6 @@ def evolution_operator(m: ExactMatrix, theta: float) -> np.ndarray:
     """U(theta) = exp(-i*theta*m); unitary because m is symmetric real. A
     matrix from `susy_laplacian` takes the route through its incidence's
     smaller Gram."""
-    if len(m.entries) != m.dim or any(len(row) != m.dim for row in m.entries):
-        raise InvalidArgumentError(f"entries must be {m.dim} rows of {m.dim}")
     _check_theta(theta, m.entries)
     if not m.is_symmetric():
         raise NotSymmetricError("evolution requires a symmetric matrix")

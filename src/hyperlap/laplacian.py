@@ -2,9 +2,11 @@
 arithmetic.
 
 Every matrix here is built from one sparse form of the incidence relation
-(`_incidence_lists`), which is also the single place where a structure is
-checked before any count is computed from it. A hypergraph is read as a
-one-level CW-hypergraph whose signs are all +1.
+(`_incidence_lists`). It is built only for a structure that passed
+`model._check_structure`, the same check `validate` reports and the
+enumerator raises on, and is kept on the object, so each object is checked
+once. A hypergraph is read as a one-level CW-hypergraph whose signs are all
++1.
 
 Matrices are dense tuples-of-tuples of Python ints; entries never overflow,
 which matters because walk counts grow geometrically with the power.
@@ -15,27 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .model import CWHypergraph, Hypergraph, InvalidArgumentError, InvalidStructureError, LevelOutOfRangeError
+from .model import CWHypergraph, Hypergraph, InvalidArgumentError, LevelOutOfRangeError, _check_structure
 
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    """n x m 0/1 matrix: entry (i,j) = 1 iff vertex i lies in edge j."""
+    """Dense incidence of one level: n x m over {0,1} for a hypergraph (entry
+    (i,j) = 1 iff vertex i lies in edge j), c_d x c_{d+1} over {-1,0,+1} for
+    level d of a CW-hypergraph."""
 
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class SignedIncidenceMatrix:
-    """c_d x c_{d+1} matrix over {-1,0,+1} recording oriented incidence at
-    one level of a CW-hypergraph."""
-
-    level: int
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    level: int = 0
 
 
 @dataclass(frozen=True)
@@ -48,6 +42,10 @@ class ExactMatrix:
     entries: tuple[tuple[int, ...], ...]
     tag: str = "plain"
     _incidence: _Incidence | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.entries) != self.dim or any(len(row) != self.dim for row in self.entries):
+            raise InvalidArgumentError(f"entries must be {self.dim} rows of {self.dim}")
 
     def entry(self, i: int, j: int) -> int:
         """1-based entry access."""
@@ -64,7 +62,8 @@ class ExactMatrix:
 class _Incidence(NamedTuple):
     """Sparse signed incidence of one level, 0-based: by_row[r] lists the
     (column, sign) pairs of row r and by_col[c] the (row, sign) pairs of
-    column c. Rows are vertices / d-cells, columns edges / (d+1)-cells."""
+    column c. Rows are vertices / d-cells, columns edges / (d+1)-cells.
+    Every caller shares the lists kept on the object, so none may change them."""
 
     rows: int
     cols: int
@@ -79,61 +78,33 @@ class _Incidence(NamedTuple):
         return _Incidence(self.cols, self.rows, self.by_col, self.by_row)
 
 
-def _edge_triples(edges):
-    """(vertex, edge, +1) for each membership, 1-based; raises on an empty
-    or a decreasing edge (a repeated vertex is left to the duplicate check)."""
-    for j, edge in enumerate(edges, start=1):
-        if not edge:
-            raise InvalidStructureError(f"edge {j}: edge is empty")
-        prev = 0
-        for v in edge:
-            if v < prev:
-                raise InvalidStructureError(f"edge {j}, vertex {v}: vertex indices must be strictly increasing")
-            prev = v
-            yield v, j, 1
-
-
 def _incidence_lists(obj: Hypergraph | CWHypergraph, d: int = 0) -> _Incidence:
     """The incidence lists of a hypergraph (d is ignored) or of level d of a
-    CW-hypergraph. Raises before returning on every structure `validate`
-    rejects that reaches a count: an index out of range, a sign other than
-    +-1, a repeated pair (a vertex twice in one edge or a repeated CW
-    incidence), an empty or non-increasing edge, n < 1, or a label count
-    that does not match n or m."""
+    CW-hypergraph. The first call on an object runs `_check_structure`, which
+    raises on every structure `validate` rejects; the lists of each level are
+    then built once and kept in the object's `_views`."""
     if isinstance(obj, Hypergraph):
-        rows, cols = obj.n, obj.m
-        if rows < 1:
-            raise InvalidStructureError(f"vertex count must be positive, got {rows}")
-        if len(obj.vertex_labels) != rows or len(obj.edge_labels) != cols:
-            raise InvalidStructureError("vertex or edge label count does not match n or m")
-        triples = _edge_triples(obj.edges)
-
-        def where(i, j):
-            return f"edge {j}, vertex {i}"
-    else:
-        if not 0 <= d <= obj.top_dim - 1:
-            raise LevelOutOfRangeError(f"level {d} out of range [0..{obj.top_dim - 1}]")
-        if d >= len(obj.incidences):
-            raise InvalidStructureError(f"no incidence relation given for level {d}")
-        rows, cols = obj.counts[d], obj.counts[d + 1]
-        triples = obj.incidences[d]
-
-        def where(i, j):
-            return f"level {d} incidence ({i},{j})"
-    by_row = [[] for _ in range(rows)]
-    by_col = [[] for _ in range(cols)]
-    seen = set()
-    for i, j, s in triples:
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise InvalidStructureError(f"{where(i, j)}: index out of range [1..{rows}] x [1..{cols}]")
-        if s not in (-1, 1):
-            raise InvalidStructureError(f"{where(i, j)}: sign must be -1 or +1, got {s}")
-        if (i, j) in seen:
-            raise InvalidStructureError(f"{where(i, j)}: duplicate incidence pair")
-        seen.add((i, j))
-        by_row[i - 1].append((j - 1, s))
-        by_col[j - 1].append((i - 1, s))
-    return _Incidence(rows, cols, by_row, by_col)
+        d = 0
+    elif not 0 <= d <= obj.top_dim - 1:
+        raise LevelOutOfRangeError(f"level {d} out of range [0..{obj.top_dim - 1}]")
+    views = obj._views
+    if views is None:
+        _check_structure(obj)
+        views = {}
+        object.__setattr__(obj, "_views", views)
+    if d not in views:
+        if isinstance(obj, Hypergraph):
+            rows, cols = obj.n, obj.m
+            triples = ((v, j, 1) for j, edge in enumerate(obj.edges, start=1) for v in edge)
+        else:
+            rows, cols, triples = obj.counts[d], obj.counts[d + 1], obj.incidences[d]
+        by_row = [[] for _ in range(rows)]
+        by_col = [[] for _ in range(cols)]
+        for i, j, s in triples:
+            by_row[i - 1].append((j - 1, s))
+            by_col[j - 1].append((i - 1, s))
+        views[d] = _Incidence(rows, cols, by_row, by_col)
+    return views[d]
 
 
 def _freeze(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -202,10 +173,10 @@ def hypergraph_laplacian(h: Hypergraph, parity: str) -> ExactMatrix:
     return _laplacian(_incidence_lists(h), parity)
 
 
-def d_incidence(x: CWHypergraph, d: int) -> SignedIncidenceMatrix:
+def d_incidence(x: CWHypergraph, d: int) -> IncidenceMatrix:
     """Signed c_d x c_{d+1} incidence matrix at level d."""
     inc = _incidence_lists(x, d)
-    return SignedIncidenceMatrix(level=d, rows=inc.rows, cols=inc.cols, entries=_dense(inc))
+    return IncidenceMatrix(rows=inc.rows, cols=inc.cols, entries=_dense(inc), level=d)
 
 
 def cw_laplacian(x: CWHypergraph, d: int, parity: str) -> ExactMatrix:

@@ -1,7 +1,9 @@
 """Core combinatorial data types: hypergraphs and CW-hypergraphs.
 
 Indices are 1-based everywhere at the API surface, matching the usual
-v_1, e_1 labelling conventions. All types are immutable after construction.
+v_1, e_1 labelling conventions. All types are immutable after construction;
+`laplacian` keeps the checked incidence lists of a hypergraph or
+CW-hypergraph in its private `_views`, outside equality, hash and repr.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
     vertex_labels: tuple[str, ...] = ()
     edge_labels: tuple[str, ...] = ()
+    _views: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
@@ -81,6 +84,7 @@ class CWHypergraph:
     counts: tuple[int, ...]
     incidences: tuple[tuple[tuple[int, int, int], ...], ...]
     skeletons: dict[tuple[int, int], tuple[int, ...]] | None = None
+    _views: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "counts", tuple(self.counts))
@@ -120,91 +124,90 @@ class ValidationReport:
         return not any(i.severity == "error" for i in self.issues)
 
 
-def _validate_hypergraph(h: Hypergraph) -> list[Issue]:
-    issues = []
-    if h.n < 1:
-        issues.append(Issue("error", "vertices", f"vertex count must be positive, got {h.n}"))
-    for j, edge in enumerate(h.edges, start=1):
-        loc = f"edge {j}"
-        if not edge:
-            issues.append(Issue("error", loc, "edge is empty"))
-            continue
-        for v in edge:
-            if not 1 <= v <= h.n:
-                issues.append(Issue("error", loc, f"vertex index {v} out of range [1..{h.n}]"))
-        if any(a >= b for a, b in zip(edge, edge[1:])):
-            issues.append(Issue("error", loc, "vertex indices must be strictly increasing"))
-    if len(h.vertex_labels) != h.n:
-        issues.append(Issue("error", "labels", "vertex label count does not match n"))
-    if len(h.edge_labels) != h.m:
-        issues.append(Issue("error", "labels", "edge label count does not match m"))
-    return issues
-
-
-def _validate_cw(x: CWHypergraph) -> tuple[list[Issue], dict[int, bool]]:
-    issues = []
-    if len(x.incidences) != max(len(x.counts) - 1, 0):
-        issues.append(
-            Issue("error", "incidences", "need exactly one incidence level per consecutive dimension pair")
-        )
-        return issues, {}
-    for d, count in enumerate(x.counts):
+def _issues(obj: Hypergraph | CWHypergraph):
+    """Every structural error of obj, as `Issue`s, in a fixed order: the one
+    check that `validate` reports and every route raises on."""
+    if isinstance(obj, Hypergraph):
+        if obj.n < 1:
+            yield Issue("error", "vertices", f"vertex count must be positive, got {obj.n}")
+        for j, edge in enumerate(obj.edges, start=1):
+            loc = f"edge {j}"
+            if not edge:
+                yield Issue("error", loc, "edge is empty")
+                continue
+            for v in edge:
+                if not 1 <= v <= obj.n:
+                    yield Issue("error", loc, f"vertex index {v} out of range [1..{obj.n}]")
+            if any(a >= b for a, b in zip(edge, edge[1:])):
+                yield Issue("error", loc, "vertex indices must be strictly increasing")
+        if len(obj.vertex_labels) != obj.n:
+            yield Issue("error", "labels", "vertex label count does not match n")
+        if len(obj.edge_labels) != obj.m:
+            yield Issue("error", "labels", "edge label count does not match m")
+        return
+    if len(obj.incidences) != max(len(obj.counts) - 1, 0):
+        yield Issue("error", "incidences", "need exactly one incidence level per consecutive dimension pair")
+        return
+    for d, count in enumerate(obj.counts):
         if count < 0:
-            issues.append(Issue("error", f"dimension {d}", f"negative cell count {count}"))
-    for d, level in enumerate(x.incidences):
+            yield Issue("error", f"dimension {d}", f"negative cell count {count}")
+    for d, level in enumerate(obj.incidences):
         seen = set()
         for i, j, s in level:
             loc = f"level {d} incidence ({i},{j})"
-            if not 1 <= i <= x.counts[d]:
-                issues.append(Issue("error", loc, f"{d}-cell index {i} out of range [1..{x.counts[d]}]"))
-            if not 1 <= j <= x.counts[d + 1]:
-                issues.append(
-                    Issue("error", loc, f"{d + 1}-cell index {j} out of range [1..{x.counts[d + 1]}]")
-                )
+            if not 1 <= i <= obj.counts[d]:
+                yield Issue("error", loc, f"{d}-cell index {i} out of range [1..{obj.counts[d]}]")
+            if not 1 <= j <= obj.counts[d + 1]:
+                yield Issue("error", loc, f"{d + 1}-cell index {j} out of range [1..{obj.counts[d + 1]}]")
             if s not in (-1, 1):
-                issues.append(Issue("error", loc, f"sign must be -1 or +1, got {s}"))
+                yield Issue("error", loc, f"sign must be -1 or +1, got {s}")
             if (i, j) in seen:
-                issues.append(Issue("error", loc, "duplicate incidence pair"))
+                yield Issue("error", loc, "duplicate incidence pair")
             seen.add((i, j))
-    if x.skeletons is not None:
-        for (d, j), skel in x.skeletons.items():
+    if obj.skeletons is not None:
+        for (d, j), skel in obj.skeletons.items():
             loc = f"skeleton of {d}-cell {j}"
-            if not 1 <= d <= x.top_dim or not 1 <= j <= x.counts[d]:
-                issues.append(Issue("error", loc, "cell does not exist"))
+            if not 1 <= d <= obj.top_dim or not 1 <= j <= obj.counts[d]:
+                yield Issue("error", loc, "cell does not exist")
                 continue
             if not skel:
-                issues.append(Issue("error", loc, "skeleton is empty"))
+                yield Issue("error", loc, "skeleton is empty")
             for v in skel:
-                if not 1 <= v <= x.counts[0]:
-                    issues.append(Issue("error", loc, f"vertex index {v} out of range [1..{x.counts[0]}]"))
+                if not 1 <= v <= obj.counts[0]:
+                    yield Issue("error", loc, f"vertex index {v} out of range [1..{obj.counts[0]}]")
 
-    # Boundary-squared diagnostic: I_{d-1} . I_d == 0, reported per composition
-    # level d >= 1; a nonzero composition is a warning, never an error. Each
-    # product pairs the incidences that share a middle d-cell q.
+
+def _check_structure(obj: Hypergraph | CWHypergraph) -> None:
+    """Raise on the first issue `validate` would report as an error."""
+    for issue in _issues(obj):
+        raise InvalidStructureError(f"invalid structure: {issue.location}: {issue.message}")
+
+
+def _boundary_squared(x: CWHypergraph) -> dict[int, bool]:
+    """Boundary-squared diagnostic: I_{d-1} . I_d == 0, reported per
+    composition level d >= 1. Each product pairs the incidences that share a
+    middle d-cell q."""
     bsz: dict[int, bool] = {}
-    if not issues:
-        for d in range(1, len(x.incidences)):
-            below: dict[int, list[tuple[int, int]]] = {}
-            for i, q, s in x.incidences[d - 1]:
-                below.setdefault(q, []).append((i, s))
-            composed: dict[tuple[int, int], int] = {}
-            for q, j, t in x.incidences[d]:
-                for i, s in below.get(q, ()):
-                    composed[i, j] = composed.get((i, j), 0) + s * t
-            zero = not any(composed.values())
-            bsz[d] = zero
-            if not zero:
-                issues.append(
-                    Issue("warning", f"levels {d - 1}..{d}", "composed signed incidence is not zero")
-                )
-    return issues, bsz
+    for d in range(1, len(x.incidences)):
+        below: dict[int, list[tuple[int, int]]] = {}
+        for i, q, s in x.incidences[d - 1]:
+            below.setdefault(q, []).append((i, s))
+        composed: dict[tuple[int, int], int] = {}
+        for q, j, t in x.incidences[d]:
+            for i, s in below.get(q, ()):
+                composed[i, j] = composed.get((i, j), 0) + s * t
+        bsz[d] = not any(composed.values())
+    return bsz
 
 
 def validate(obj: Hypergraph | CWHypergraph) -> ValidationReport:
-    """Check every structural invariant; violations are reported, not raised."""
-    if isinstance(obj, Hypergraph):
-        return ValidationReport(issues=tuple(_validate_hypergraph(obj)))
-    issues, bsz = _validate_cw(obj)
+    """Check every structural invariant; violations are reported, not raised.
+    A nonzero boundary composition of a CW-hypergraph is a warning, never an
+    error, and is looked for only when there are no errors."""
+    issues = list(_issues(obj))
+    bsz = _boundary_squared(obj) if isinstance(obj, CWHypergraph) and not issues else {}
+    issues += [Issue("warning", f"levels {d - 1}..{d}", "composed signed incidence is not zero")
+               for d, zero in bsz.items() if not zero]
     return ValidationReport(issues=tuple(issues), boundary_squared_zero=bsz)
 
 

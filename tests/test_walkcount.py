@@ -292,7 +292,7 @@ DUPLICATE_PAIR = CWHypergraph(counts=(2, 1), incidences=(((1, 1, 1), (1, 1, -1))
 
 
 def test_invalid_structures_rejected_before_either_route():
-    with pytest.raises(InvalidStructureError, match="duplicate"):
+    with pytest.raises(InvalidStructureError, match="strictly increasing"):
         count_walks(INVALID_HYPERGRAPH, WalkQuery("vertex", 1, 1, 1))
     with pytest.raises(InvalidStructureError, match="duplicate"):
         signed_count(DUPLICATE_PAIR, WalkQuery("lower", 1, 1, 1, level=0))
