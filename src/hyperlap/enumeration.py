@@ -5,19 +5,20 @@ can be replayed here by a DFS over the incidence relation itself, never
 over a Laplacian. One DFS per start index visits each walk from it once, up
 to the longest length asked for; nothing is memoised, so the work is the
 number of walks, exponential by nature. A budget bounds the walks one
-start's DFS visits, all lengths and ends counted.
+start's DFS visits, all lengths and ends counted. `cross_check` compares
+each start's tallies with the rows of the sweep that answers `count`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
+from itertools import islice
 
-from .laplacian import cw_laplacian, hypergraph_laplacian
+from .laplacian import _incidence_lists
 from .model import (CWHypergraph, Hypergraph, HyperlapError, InvalidArgumentError, LevelOutOfRangeError,
                     _check_structure)
-from .walkcount import _check_index, power_table
+from .walkcount import _check_index, _half_steps
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -200,26 +201,30 @@ def walk_sign(x: CWHypergraph, w: Walk) -> int:
 
 def cross_check(obj: Hypergraph | CWHypergraph, kmax: int,
                 budget: int | None = None) -> CrossCheckReport:
-    """Compare every matrix-power value against the enumerator, for every
-    applicable kind, every index pair and every k <= kmax. Mismatches are
-    ordered by kind, then k, i, j."""
+    """Compare the route that answers `count` and `signed-count` with the
+    enumerator, for every applicable kind, index pair and k <= kmax: row i of
+    the k-th Laplacian power is half-step 2k of `walkcount`'s sweep from e_i,
+    compared with start i's tally. Mismatches are ordered by kind, then k, i, j."""
     if kmax < 1:
         raise InvalidArgumentError("kmax must be >= 1")
     levels = _levels(obj)
     limit = budget if budget is not None else enumeration_budget()
     if isinstance(obj, Hypergraph):
-        cases = [("vertex", "edge", partial(hypergraph_laplacian, obj))]
+        kinds = [("vertex", "edge")]
         desc = f"hypergraph n={obj.n} m={obj.m} kmax={kmax}"
     else:
-        cases = [(f"lower@d={d}", f"upper@d={d}", partial(cw_laplacian, obj, d)) for d in range(obj.top_dim)]
+        kinds = [(f"lower@d={d}", f"upper@d={d}") for d in range(obj.top_dim)]
         desc = f"cw counts={obj.counts} kmax={kmax}"
     mismatches = []
-    for (lower, upper, laplacian), sides in zip(cases, levels):
-        for kind, parity, steps in zip((lower, upper), ("even", "odd"), sides):
-            powers = power_table(laplacian(parity), kmax)
-            tallies = [_tally(i, kmax, steps, limit) for i in range(1, len(steps))]
-            mismatches += [(kind, i, j, k, powers[k].entry(i, j), tally[k][j])
-                           for k in range(kmax + 1) for i, tally in enumerate(tallies, start=1)
-                           for j in range(1, len(steps)) if powers[k].entry(i, j) != tally[k][j]]
+    for d, (pair, sides) in enumerate(zip(kinds, levels)):
+        inc = _incidence_lists(obj, d)
+        for kind, side, steps in zip(pair, (inc, inc.transposed()), sides):
+            found = []
+            for i in range(1, len(steps)):
+                tally = _tally(i, kmax, steps, limit)
+                rows = islice(_half_steps(side, i - 1), 0, 2 * kmax + 1, 2)
+                found += [(k, i, j, mv, ov) for k, row in enumerate(rows) if row != tally[k][1:]
+                          for j, (mv, ov) in enumerate(zip(row, tally[k][1:]), start=1) if mv != ov]
+            mismatches += [(kind, i, j, k, mv, ov) for k, i, j, mv, ov in sorted(found)]
     checked = sum((kmax + 1) * (len(steps) - 1) ** 2 for sides in levels for steps in sides)
     return CrossCheckReport(description=desc, checked=checked, mismatches=tuple(mismatches))

@@ -8,7 +8,9 @@ CW-hypergraph in its private `_views`, outside equality, hash and repr.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 
 class HyperlapError(Exception):
@@ -78,21 +80,19 @@ class CWHypergraph:
 
     ``incidences[d]`` is a tuple of (i, j, s) triples: d-cell i is incident
     to (d+1)-cell j with sign s. ``skeletons`` optionally maps (d, j) with
-    d >= 1 to the 0-skeleton vertex tuple of cell e_j^d.
+    d >= 1 to the 0-skeleton vertex tuple of cell e_j^d, in a read-only copy.
     """
 
     counts: tuple[int, ...]
     incidences: tuple[tuple[tuple[int, int, int], ...], ...]
-    skeletons: dict[tuple[int, int], tuple[int, ...]] | None = None
+    skeletons: Mapping[tuple[int, int], tuple[int, ...]] | None = None
     _views: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "counts", tuple(self.counts))
-        object.__setattr__(
-            self,
-            "incidences",
-            tuple(tuple(tuple(t) for t in level) for level in self.incidences),
-        )
+        object.__setattr__(self, "incidences", tuple(tuple(tuple(t) for t in level) for level in self.incidences))
+        if self.skeletons is not None:
+            object.__setattr__(self, "skeletons", MappingProxyType(dict(self.skeletons)))
 
     @property
     def top_dim(self) -> int:

@@ -6,15 +6,18 @@ signed sums over (d,d+1)- and (d+1,d)-hyperwalks. Each factor I.I^t is one
 hyperwalk step (row -> incident column -> row). Delta is symmetric, so a
 walk split at its midpoint reads an entry without forming Delta as
 <H^k e_i, H^k e_j>: two sweeps of k half-steps v.I / w.I^t over the
-incidence lists, each carrying half the entry's bits. Only for tiny
-dimensions at huge k is binary exponentiation of the smaller side's Gram
-matrix (to half the power) cheaper; the route is chosen from the input by
-counting the work of each.
+incidence lists, each carrying half the entry's bits. Every sweep reads one
+generator, `_half_steps`, and so does `enumeration.cross_check`, for which
+half-step 2k from e_i is row i of Delta^k. Only for tiny dimensions at huge
+k is binary exponentiation of the smaller side's Gram matrix (to half the
+power) cheaper; the route is chosen from the input by counting the work of
+each. Its squarings are checked only by the tests, against `matrix_power`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import mul
 
 from .laplacian import ExactMatrix, _Incidence, _incidence_lists, _row_square, identity, mat_mul
@@ -97,28 +100,29 @@ def _prefers_binary_power(inc: _Incidence, k: int) -> bool:
     return 2 * s**3 * k.bit_length() < 2 * k * inc.nnz
 
 
-def _sweep(inc: _Incidence, i: int, k: int) -> list[int]:
-    """H^k e_i, 0-based: k half-steps from e_i over the rows of inc,
-    alternately v <- v.I (onto the columns) and w <- w.I^t (back)."""
+def _half_steps(inc: _Incidence, i: int):
+    """H^t e_i for t = 0, 1, 2, ..., 0-based: from e_i over the rows of inc,
+    alternately v <- v.I (onto the columns) and w <- w.I^t (back); t = 2k is
+    row i of (I.I^t)^k. A yielded list is never changed, and must not be."""
     pairs, back = inc.by_row, inc.by_col
     v = [0] * inc.rows
     v[i] = 1
-    for _ in range(k):
+    while True:
+        yield v
         w = [0] * len(back)
         for r, x in enumerate(v):
             if x:
                 for c, s in pairs[r]:
                     w[c] += s * x
         v, pairs, back = w, back, pairs
-    return v
 
 
 def _sparse_steps(inc: _Incidence, i: int, j: int, k: int) -> int:
     """Entry (i, j), 0-based, of (I.I^t)^k over the rows of inc as
     <H^k e_i, H^k e_j>: a length-k walk is k half-steps out of i joined to
     k half-steps out of j. When k is odd both sweeps end on the columns."""
-    x = _sweep(inc, i, k)
-    y = x if i == j else _sweep(inc, j, k)
+    x = next(islice(_half_steps(inc, i), k, None))
+    y = x if i == j else next(islice(_half_steps(inc, j), k, None))
     return sum(map(mul, x, y))
 
 
@@ -150,7 +154,8 @@ def _binary_power(inc: _Incidence, i: int, j: int, k: int) -> int:
     if flip and k == 0:
         return int(i == j)
     g = _row_square(inc.transposed() if flip else inc)
-    x, y, e = _sweep(inc, i, flip), _sweep(inc, j, flip), k - flip
+    x, y = (next(islice(_half_steps(inc, a), flip, None)) for a in (i, j))
+    e = k - flip
     if e >> 1:
         p = g
         for bit in bin(e >> 1)[3:]:
@@ -162,14 +167,3 @@ def _binary_power(inc: _Incidence, i: int, j: int, k: int) -> int:
     if e & 1:
         x = _times(x, g)
     return sum(map(mul, x, y))
-
-
-def power_table(m: ExactMatrix, kmax: int) -> list[ExactMatrix]:
-    """[m^0, m^1, ..., m^kmax] by iterated multiplication (for tables the
-    running product beats repeated binary exponentiation)."""
-    out = [ExactMatrix(dim=m.dim, entries=identity(m.dim), tag=f"{m.tag}^0")]
-    acc = identity(m.dim)
-    for k in range(1, kmax + 1):
-        acc = mat_mul(acc, m.entries)
-        out.append(ExactMatrix(dim=m.dim, entries=acc, tag=f"{m.tag}^{k}"))
-    return out

@@ -15,9 +15,9 @@ from hyperlap import (
     signed_count,
     walk_sign,
 )
-from hyperlap import enumeration
+from hyperlap import enumeration, laplacian, walkcount
 from hyperlap.enumeration import InvalidWalkError
-from hyperlap.laplacian import ExactMatrix
+from hyperlap.laplacian import _incidence_lists
 from hyperlap.model import CWHypergraph, Hypergraph, InvalidStructureError
 from random_instances import random_cw, random_cw_level, random_hypergraph
 
@@ -216,28 +216,27 @@ def test_cross_check_property(obj, kmax):
     assert cross_check(obj, kmax).ok
 
 
-def _perturbed(monkeypatch, pick):
-    """Make cross_check read power tables in which every entry (i, j) of
-    the k-th power of a Laplacian with tag `tag` is raised by
-    pick(tag, i, j, k) (0 leaves it alone)."""
-    real = enumeration.power_table
+def _perturbed(monkeypatch, obj, pick):
+    """Make cross_check read sweeps in which every entry (i, j) of the k-th
+    power of obj's Laplacian of parity `tag` is raised by pick(tag, i, j, k)
+    (0 leaves it alone): only the even half-steps, the rows, are changed."""
+    real = enumeration._half_steps
 
-    def fake(m, kmax):
-        return [ExactMatrix(dim=p.dim, tag=p.tag,
-                            entries=tuple(tuple(v + pick(m.tag, i, j, k) for j, v in enumerate(row, start=1))
-                                          for i, row in enumerate(p.entries, start=1)))
-                for k, p in enumerate(real(m, kmax))]
+    def fake(inc, start):
+        tag = "even" if inc is _incidence_lists(obj) else "odd"
+        for t, v in enumerate(real(inc, start)):
+            yield [x + pick(tag, start + 1, j, t // 2) for j, x in enumerate(v, start=1)] if t % 2 == 0 else v
 
-    monkeypatch.setattr(enumeration, "power_table", fake)
+    monkeypatch.setattr(enumeration, "_half_steps", fake)
 
 
 def test_cross_check_reports_one_perturbed_entry(monkeypatch, fig1):
-    _perturbed(monkeypatch, lambda tag, i, j, k: int(tag == "odd" and (i, j, k) == (7, 9, 3)))
+    _perturbed(monkeypatch, fig1, lambda tag, i, j, k: int(tag == "odd" and (i, j, k) == (7, 9, 3)))
     assert cross_check(fig1, 3).mismatches == (("edge", 7, 9, 3, 385, 384),)
 
 
 def test_cross_check_checked_and_mismatch_order(monkeypatch, fig1):
-    _perturbed(monkeypatch, lambda tag, i, j, k: int((i, j) in ((1, 2), (2, 1), (3, 1))))
+    _perturbed(monkeypatch, fig1, lambda tag, i, j, k: int((i, j) in ((1, 2), (2, 1), (3, 1))))
     report = cross_check(fig1, 3)
     assert report.checked == 388
     assert [m[:4] for m in report.mismatches] == [
@@ -252,3 +251,29 @@ def test_long_walks_need_no_recursion():
     report = cross_check(Hypergraph(n=1, edges=((1,),)), 1200)
     assert report.ok
     assert report.checked == 2 * 1201
+
+
+def test_one_fault_in_the_shared_sweep_reaches_both_routes(monkeypatch, fig1):
+    # count and cross_check read Laplacian powers from one half-step generator
+    assert enumeration._half_steps is walkcount._half_steps
+    real = walkcount._half_steps
+
+    def doubled(inc, start):
+        for v in real(inc, start):
+            yield [2 * x for x in v]
+
+    monkeypatch.setattr(walkcount, "_half_steps", doubled)
+    monkeypatch.setattr(enumeration, "_half_steps", doubled)
+    assert count_walks(fig1, WalkQuery("vertex", 1, 3, 4)).value == 4 * 5886
+    assert cross_check(fig1, 1).mismatches[0] == ("vertex", 1, 1, 0, 2, 1)
+
+
+def test_cross_check_needs_no_dense_laplacian(monkeypatch, fig1, fig2):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cross_check built a dense matrix")
+
+    for name in ("mat_mul", "hypergraph_laplacian", "cw_laplacian"):
+        monkeypatch.setattr(laplacian, name, refuse)
+    assert cross_check(fig1, 3).ok
+    assert cross_check(fig2, 3).ok
+    assert cross_check(Hypergraph(n=1, edges=((1,),)), 1200).ok

@@ -1,6 +1,6 @@
 import pytest
 
-from hyperlap import CWHypergraph, Hypergraph, project_hypergraph, validate
+from hyperlap import CWHypergraph, Hypergraph, WalkQuery, project_hypergraph, serialize, signed_count, validate
 from hyperlap.model import MissingSkeletonError
 
 
@@ -96,3 +96,17 @@ def test_boundary_squared_diagnostic_matches_dense_composition():
         assert validate(x).boundary_squared_zero == want
         seen.update(want.values())
     assert seen == {True, False}
+
+
+def test_skeletons_cannot_change_after_the_first_query():
+    skels = {(1, 1): (1, 2)}
+    x = CWHypergraph(counts=(2, 1), incidences=(((1, 1, 1), (2, 1, -1)),), skeletons=skels)
+    assert signed_count(x, WalkQuery("lower", 1, 2, 1)).value == -1
+    with pytest.raises(TypeError):
+        x.skeletons[(1, 9)] = (1,)
+    skels[(1, 9)] = (1,)  # the caller's dict was copied
+    assert validate(x).ok
+    plain = CWHypergraph(counts=(2, 1), incidences=(((1, 1, 1), (2, 1, -1)),), skeletons={(1, 1): (1, 2)})
+    assert x == plain
+    assert serialize(x) == serialize(plain)
+    assert project_hypergraph(x) == project_hypergraph(plain)

@@ -19,7 +19,7 @@ from hyperlap import walkcount
 from hyperlap.laplacian import _incidence_lists
 from hyperlap.model import HyperlapError, IndexOutOfRangeError, InvalidStructureError
 from random_instances import random_cw, random_cw_level, random_hypergraph
-from hyperlap.walkcount import _binary_power, _prefers_binary_power, _sparse_steps, power_table
+from hyperlap.walkcount import _binary_power, _prefers_binary_power, _sparse_steps
 
 
 def test_power_zero_is_identity(fig1):
@@ -40,13 +40,6 @@ def test_fig1_even_square(fig1):
 def test_fig1_fourth_power_paper_value(fig1):
     p4 = matrix_power(hypergraph_laplacian(fig1, "even"), 4)
     assert p4.entry(1, 3) == 5886
-
-
-def test_power_table_matches_binary_exponentiation(fig1):
-    even = hypergraph_laplacian(fig1, "even")
-    table = power_table(even, 5)
-    for k in range(6):
-        assert table[k].entries == matrix_power(even, k).entries
 
 
 def test_count_walks_paper_values(fig1):
@@ -269,13 +262,13 @@ def test_binary_power_squares_to_half_the_power_without_mat_mul(fig1, monkeypatc
 @pytest.mark.parametrize("i, j, sweeps", [(2, 2, 1), (0, 2, 2)])
 def test_sparse_steps_sweeps_once_on_the_diagonal(fig1, monkeypatch, i, j, sweeps):
     calls = []
-    sweep = walkcount._sweep
+    sweep = walkcount._half_steps
 
     def counted(*args):
         calls.append(args)
         return sweep(*args)
 
-    monkeypatch.setattr(walkcount, "_sweep", counted)
+    monkeypatch.setattr(walkcount, "_half_steps", counted)
     inc = _incidence_lists(fig1)
     assert _sparse_steps(inc, i, j, 9) == matrix_power(hypergraph_laplacian(fig1, "even"), 9).entries[i][j]
     assert len(calls) == sweeps
