@@ -75,73 +75,50 @@ def _cmd_validate(args) -> int:
 
 def _cmd_laplacian(args) -> int:
     obj = _load(args)
-    if isinstance(obj, CWHypergraph):
-        if args.dim is None:
-            raise HyperlapError("--dim is required for CW input")
-        lap = laplacian.cw_laplacian(obj, args.dim, args.which)
-    else:
-        if args.dim is not None:
-            raise HyperlapError("--dim only applies to CW input")
-        lap = laplacian.hypergraph_laplacian(obj, args.which)
+    cw = isinstance(obj, CWHypergraph)
+    if cw != (args.dim is not None):
+        raise HyperlapError("--dim is required for CW input" if cw else "--dim only applies to CW input")
+    lap = laplacian.cw_laplacian(obj, args.dim or 0, args.which)
     _print_grid(args, lap.entries)
     return 0
 
 
 def _cmd_count(args) -> int:
     obj = _load(args)
-    if not isinstance(obj, Hypergraph):
-        raise HyperlapError("count applies to hypergraph input; use signed-count for CW")
-    q = walkcount.WalkQuery(kind=args.kind, from_index=args.from_index,
-                            to_index=args.to_index, length=args.length)
-    result = walkcount.count_walks(obj, q)
-    _emit(args, str(result.value), f"count={result.value}")
-    return 0
-
-
-def _cmd_signed_count(args) -> int:
-    obj = _load(args)
-    if not isinstance(obj, CWHypergraph):
-        raise HyperlapError("signed-count applies to CW input")
-    q = walkcount.WalkQuery(kind=args.kind, from_index=args.from_index,
-                            to_index=args.to_index, length=args.length, level=args.dim)
-    result = walkcount.signed_count(obj, q)
-    _emit(args, str(result.value), f"sum={result.value}")
+    signed = args.command == "signed-count"
+    if isinstance(obj, CWHypergraph) != signed:
+        raise HyperlapError("signed-count applies to CW input" if signed
+                            else "count applies to hypergraph input; use signed-count for CW")
+    q = walkcount.WalkQuery(args.kind, args.from_index, args.to_index, args.length, args.dim if signed else 0)
+    value = walkcount.signed_count(obj, q).value
+    _emit(args, str(value), f"{'sum' if signed else 'count'}={value}")
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     obj = _load(args)
     budget = enumeration.enumeration_budget()
-    if args.kind in ("vertex", "edge"):
-        if not isinstance(obj, Hypergraph):
-            raise HyperlapError(f"kind {args.kind} needs hypergraph input")
-        walks = enumeration.enum_walks(obj, args.kind, args.from_index,
-                                       args.to_index, args.length, budget=budget)
-        even = obj.vertex_labels if args.kind == "vertex" else obj.edge_labels
-        odd = obj.edge_labels if args.kind == "vertex" else obj.vertex_labels
-        for w in walks:
-            line = w.render(even, odd)
-            print(f"walk={line}" if args.machine else line)
-        _emit(args, f"{len(walks)} walks", f"total={len(walks)}")
+    signed = args.kind in ("lower", "upper")
+    if isinstance(obj, CWHypergraph) != signed:
+        raise HyperlapError(f"kind {args.kind} needs {'CW' if signed else 'hypergraph'} input")
+    if signed and args.dim is None:
+        raise HyperlapError("--dim is required for lower/upper kinds")
+    d = args.dim if signed else 0
+    pairs = enumeration.enum_signed_walks(obj, d, args.kind, args.from_index,
+                                          args.to_index, args.length, budget=budget)
+    if signed:
+        lower, upper = _cw_labels(d, obj.counts[d]), _cw_labels(d + 1, obj.counts[d + 1])
     else:
-        if not isinstance(obj, CWHypergraph):
-            raise HyperlapError(f"kind {args.kind} needs CW input")
-        if args.dim is None:
-            raise HyperlapError("--dim is required for lower/upper kinds")
-        d = args.dim
-        pairs = enumeration.enum_signed_walks(obj, d, args.kind, args.from_index,
-                                              args.to_index, args.length, budget=budget)
-        lower_labels = _cw_labels(d, obj.counts[d])
-        upper_labels = _cw_labels(d + 1, obj.counts[d + 1])
-        even = lower_labels if args.kind == "lower" else upper_labels
-        odd = upper_labels if args.kind == "lower" else lower_labels
-        total = 0
-        for w, s in pairs:
-            total += s
-            line = w.render(even, odd) + (" [+1]" if s == 1 else " [-1]")
-            print(f"walk={line}" if args.machine else line)
-        _emit(args, f"{len(pairs)} walks, signed sum {total}",
-              f"total={len(pairs)}\nsum={total}")
+        lower, upper = obj.vertex_labels, obj.edge_labels
+    even, odd = (lower, upper) if args.kind in ("vertex", "lower") else (upper, lower)
+    for w, s in pairs:
+        line = w.render(even, odd) + ((" [+1]" if s == 1 else " [-1]") if signed else "")
+        print(f"walk={line}" if args.machine else line)
+    total = sum(s for _w, s in pairs)
+    if signed:
+        _emit(args, f"{len(pairs)} walks, signed sum {total}", f"total={len(pairs)}\nsum={total}")
+    else:
+        _emit(args, f"{len(pairs)} walks", f"total={len(pairs)}")
     return 0
 
 
@@ -217,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_index", type=int, required=True)
     p.add_argument("--to", dest="to_index", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
-    p.set_defaults(func=_cmd_signed_count)
+    p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("enumerate", help="list all walks explicitly")
     _add_source(p)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .laplacian import _incidence_lists
-from .model import (CWHypergraph, Hypergraph, HyperlapError, InvalidArgumentError, LevelOutOfRangeError,
-                    _check_structure)
-from .walkcount import _check_index, _half_steps
+from .model import (CWHypergraph, Hypergraph, HyperlapError, InvalidArgumentError, _check_query, _check_structure,
+                    _expect)
+from .walkcount import _half_steps
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -136,19 +136,11 @@ def _tally(start, kmax, steps, limit):
     return tally
 
 
-def _listed(obj, d, kind, kinds, i, j, k, budget):
+def _listed(obj, d, kind, i, j, k, budget):
     """The walks of one kind, of length exactly k from i to j, with their
     signs, in lexicographic step order."""
-    if kind not in kinds:
-        raise InvalidArgumentError(f"kind must be {kinds[0]} or {kinds[1]}, got {kind!r}")
-    if k < 0:
-        raise InvalidArgumentError("length must be >= 0")
-    levels = _levels(obj)
-    if not 0 <= d < len(levels):
-        raise LevelOutOfRangeError(f"level {d} out of range [0..{len(levels) - 1}]")
-    steps = levels[d][kind == kinds[1]]
-    _check_index("from", i, len(steps) - 1)
-    _check_index("to", j, len(steps) - 1)
+    odd = _check_query(obj, kind, d, i, j, k)
+    steps = _levels(obj)[d][odd]
     limit = budget if budget is not None else enumeration_budget()
     out = []
     used = 1
@@ -169,21 +161,24 @@ def enum_walks(h: Hypergraph, kind: str, i: int, j: int, k: int,
                budget: int | None = None) -> list[Walk]:
     """All hyperwalks (kind=vertex) or edge-hyperwalks (kind=edge) of
     exactly length k from i to j, in lexicographic step order."""
-    return [w for w, _s in _listed(h, 0, kind, ("vertex", "edge"), i, j, k, budget)]
+    _expect(h, Hypergraph, "enum_walks")
+    return [w for w, _s in _listed(h, 0, kind, i, j, k, budget)]
 
 
 def enum_signed_walks(x: CWHypergraph, d: int, kind: str, i: int, j: int, k: int,
                       budget: int | None = None) -> list[tuple[Walk, int]]:
     """All (d,d+1)-hyperwalks (kind=lower) or (d+1,d)-hyperwalks (kind=upper)
-    of length k from i to j, each with its sign."""
-    return _listed(x, d, kind, ("lower", "upper"), i, j, k, budget)
+    of length k from i to j, each with its sign; on a hypergraph, any kind."""
+    return _listed(x, d, kind, i, j, k, budget)
 
 
 def walk_sign(x: CWHypergraph, w: Walk) -> int:
     """Product over each middle-tier element of its two incidence signs with
     the neighbouring steps; the empty product is +1."""
-    if w.kind not in ("lower", "upper"):
-        raise InvalidArgumentError(f"walk_sign applies to lower/upper walks, got {w.kind!r}")
+    _expect(x, CWHypergraph, "walk_sign")
+    if len(w.steps) % 2 == 0:
+        raise InvalidWalkError(f"a walk has an odd number of steps, got {len(w.steps)}")
+    _check_query(x, w.kind, w.level, w.steps[0], w.steps[-1], 0)
     signs = x.sign_table(w.level)
     total = 1
     for pos in range(1, len(w.steps), 2):

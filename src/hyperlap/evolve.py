@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .laplacian import ExactMatrix, _Incidence, _incidence_lists, _row_square
-from .model import Hypergraph, HyperlapError, InvalidArgumentError
+from .model import Hypergraph, HyperlapError, InvalidArgumentError, _expect
 
 _PHASE_LIMIT = 2**52
 _FLOAT_MAX = int(np.finfo(float).max)
@@ -118,6 +118,7 @@ def partition_trace(h: Hypergraph, theta: float) -> complex:
     summary of the evolution operator on the direct sum. I.I^t and I^t.I share
     their nonzero eigenvalues, so it is 2*sum(exp(-i*theta*lambda)) + |n-m|
     over the smaller Gram's eigenvalues; a zero one adds 1 on each side."""
+    _expect(h, Hypergraph, "partition_trace")
     inc = _incidence_lists(h)
     side = _smaller_side(inc)
     gram = _row_square(side)
@@ -126,7 +127,6 @@ def partition_trace(h: Hypergraph, theta: float) -> complex:
     return complex(2 * np.exp(-1j * theta * lam).sum() + abs(inc.rows - inc.cols))
 
 
-def format_complex(z: complex, digits: int = 12) -> str:
-    """`a+bi` with the given number of significant digits; a signed zero
-    prints as 0."""
-    return f"{z.real + 0.0:.{digits}g}{z.imag + 0.0:+.{digits}g}i"
+def format_complex(z: complex) -> str:
+    """`a+bi` with 12 significant digits; a signed zero prints as 0."""
+    return f"{z.real + 0.0:.12g}{z.imag + 0.0:+.12g}i"

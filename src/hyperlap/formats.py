@@ -5,13 +5,16 @@ plus the two built-in figure fixtures.
 .cw:  `cells <d> <count>` in ascending d from 0; `inc <d> <i> <j> <+1|-1>`;
       optional `skel <d> <j> <v1> <v2> ...`.
 `#` starts a comment; blank lines are skipped; CRLF accepted.
+The parsers check syntax only; every structural rule is `model`'s, run once
+on the parsed object after the last line, and raised as a `ParseError` with
+`validate`'s wording at the line of the element at fault.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import CWHypergraph, Hypergraph, HyperlapError
+from .model import CWHypergraph, Hypergraph, HyperlapError, _faults
 
 
 @dataclass(frozen=True)
@@ -50,10 +53,21 @@ def _parse_int(token: str, what: str, loc: SourceLocation) -> int:
         raise ParseError(f"expected integer for {what}, got {token!r}", loc) from None
 
 
+def _checked(obj, where: dict):
+    """obj, now marked as checked; or a `ParseError` at the earliest line
+    that `where`, keyed like `model._issues`, gives an element at fault."""
+    faults = [(where[key], issue.message) for key, issue in _faults(obj)]
+    if faults:
+        loc, message = min(faults, key=lambda fault: fault[0].line)
+        raise ParseError(message, loc)
+    return obj
+
+
 def parse_hg(text: str) -> Hypergraph:
     n = None
     edges: list[tuple[int, ...]] = []
     names: list[str] = []
+    where: dict = {}
     for lineno, raw, tokens in _lines(text):
         loc = _loc(lineno, raw)
         keyword = tokens[0]
@@ -63,8 +77,7 @@ def parse_hg(text: str) -> Hypergraph:
             if len(tokens) != 2:
                 raise ParseError("expected 'vertices <n>'", loc)
             n = _parse_int(tokens[1], "vertex count", loc)
-            if n < 1:
-                raise ParseError(f"vertex count must be positive, got {n}", loc)
+            where[0] = loc
         elif keyword == "edge":
             if n is None:
                 raise ParseError("'edge' before 'vertices'", loc)
@@ -76,23 +89,21 @@ def parse_hg(text: str) -> Hypergraph:
             verts = [_parse_int(t, "vertex index", loc) for t in tokens[2:]]
             if len(set(verts)) != len(verts):
                 raise ParseError("duplicate vertex within edge", loc)
-            for v in verts:
-                if not 1 <= v <= n:
-                    raise ParseError(f"vertex index {v} out of range [1..{n}]", loc)
             names.append(name)
             edges.append(tuple(sorted(verts)))
+            where[len(edges)] = loc
         else:
             raise ParseError(f"unknown keyword {keyword!r}", loc)
     if n is None:
         raise ParseError("missing 'vertices' line", SourceLocation(1, 1, ""))
-    return Hypergraph(n=n, edges=tuple(edges), edge_labels=tuple(names))
+    return _checked(Hypergraph(n=n, edges=tuple(edges), edge_labels=tuple(names)), where)
 
 
 def parse_cw(text: str) -> CWHypergraph:
     counts: list[int] = []
     incs: dict[int, list[tuple[int, int, int]]] = {}
-    seen_pairs: set[tuple[int, int, int]] = set()
     skels: dict[tuple[int, int], tuple[int, ...]] = {}
+    where: dict = {}
     for lineno, raw, tokens in _lines(text):
         loc = _loc(lineno, raw)
         keyword = tokens[0]
@@ -105,9 +116,8 @@ def parse_cw(text: str) -> CWHypergraph:
                 raise ParseError(
                     f"'cells' dimensions must ascend from 0; expected {len(counts)}, got {d}", loc
                 )
-            if count < 0:
-                raise ParseError(f"cell count must be >= 0, got {count}", loc)
             counts.append(count)
+            where[d] = loc
         elif keyword == "inc":
             if len(tokens) != 5:
                 raise ParseError("expected 'inc <d> <i> <j> <+1|-1>'", loc)
@@ -119,33 +129,22 @@ def parse_cw(text: str) -> CWHypergraph:
             s = 1 if tokens[4] == "+1" else -1
             if not 0 <= d <= len(counts) - 2:
                 raise ParseError(f"incidence level {d} has no cells on both sides", loc)
-            if not 1 <= i <= counts[d]:
-                raise ParseError(f"{d}-cell index {i} out of range [1..{counts[d]}]", loc)
-            if not 1 <= j <= counts[d + 1]:
-                raise ParseError(f"{d + 1}-cell index {j} out of range [1..{counts[d + 1]}]", loc)
-            if (d, i, j) in seen_pairs:
-                raise ParseError(f"duplicate incidence pair ({i},{j}) at level {d}", loc)
-            seen_pairs.add((d, i, j))
             incs.setdefault(d, []).append((i, j, s))
+            where[d, i, j] = loc
         elif keyword == "skel":
             if len(tokens) < 4:
                 raise ParseError("expected 'skel <d> <j> <v1> <v2> ...'", loc)
             d = _parse_int(tokens[1], "dimension", loc)
             j = _parse_int(tokens[2], "cell index", loc)
-            if not 1 <= d <= len(counts) - 1 or not 1 <= j <= counts[d]:
-                raise ParseError(f"no {d}-cell with index {j}", loc)
-            verts = tuple(sorted(_parse_int(t, "vertex index", loc) for t in tokens[3:]))
-            for v in verts:
-                if not 1 <= v <= counts[0]:
-                    raise ParseError(f"vertex index {v} out of range [1..{counts[0]}]", loc)
-            skels[(d, j)] = verts
+            skels[(d, j)] = tuple(sorted(_parse_int(t, "vertex index", loc) for t in tokens[3:]))
+            where[d, j] = loc
         else:
             raise ParseError(f"unknown keyword {keyword!r}", loc)
     if not counts:
         raise ParseError("missing 'cells' lines", SourceLocation(1, 1, ""))
     incidences = tuple(tuple(incs.get(d, [])) for d in range(len(counts) - 1))
-    return CWHypergraph(counts=tuple(counts), incidences=incidences,
-                        skeletons=skels if skels else None)
+    return _checked(CWHypergraph(counts=tuple(counts), incidences=incidences,
+                                 skeletons=skels if skels else None), where)
 
 
 def serialize(obj: Hypergraph | CWHypergraph) -> str:

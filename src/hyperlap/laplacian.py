@@ -4,9 +4,9 @@ arithmetic.
 Every matrix here is built from one sparse form of the incidence relation
 (`_incidence_lists`). It is built only for a structure that passed
 `model._check_structure`, the same check `validate` reports and the
-enumerator raises on, and is kept on the object, so each object is checked
-once. A hypergraph is read as a one-level CW-hypergraph whose signs are all
-+1.
+enumerator raises on, which runs at most once per object; the lists of
+each level are kept in the `_views` that marks the object as checked. A
+hypergraph is read as a one-level CW-hypergraph whose signs are all +1.
 
 Matrices are dense tuples-of-tuples of Python ints; entries never overflow,
 which matters because walk counts grow geometrically with the power.
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .model import CWHypergraph, Hypergraph, InvalidArgumentError, LevelOutOfRangeError, _check_structure
+from .model import CWHypergraph, Hypergraph, InvalidArgumentError, _check_level, _check_structure, _expect
 
 
 @dataclass(frozen=True)
@@ -79,19 +79,13 @@ class _Incidence(NamedTuple):
 
 
 def _incidence_lists(obj: Hypergraph | CWHypergraph, d: int = 0) -> _Incidence:
-    """The incidence lists of a hypergraph (d is ignored) or of level d of a
-    CW-hypergraph. The first call on an object runs `_check_structure`, which
-    raises on every structure `validate` rejects; the lists of each level are
-    then built once and kept in the object's `_views`."""
-    if isinstance(obj, Hypergraph):
-        d = 0
-    elif not 0 <= d <= obj.top_dim - 1:
-        raise LevelOutOfRangeError(f"level {d} out of range [0..{obj.top_dim - 1}]")
+    """The incidence lists of a hypergraph (level 0) or of level d of a
+    CW-hypergraph. `_check_structure` raises on every structure `validate`
+    rejects; the lists of each level are then built once and kept in the
+    object's `_views`."""
+    _check_level(obj, d)
+    _check_structure(obj)
     views = obj._views
-    if views is None:
-        _check_structure(obj)
-        views = {}
-        object.__setattr__(obj, "_views", views)
     if d not in views:
         if isinstance(obj, Hypergraph):
             rows, cols = obj.n, obj.m
@@ -165,11 +159,13 @@ def identity(n: int) -> tuple[tuple[int, ...], ...]:
 
 def incidence(h: Hypergraph) -> IncidenceMatrix:
     """0/1 vertex-by-edge incidence matrix; column order is edge order."""
+    _expect(h, Hypergraph, "incidence")
     return IncidenceMatrix(rows=h.n, cols=h.m, entries=_dense(_incidence_lists(h)))
 
 
 def hypergraph_laplacian(h: Hypergraph, parity: str) -> ExactMatrix:
     """even: n x n vertex Laplacian I.I^t; odd: m x m edge Laplacian I^t.I."""
+    _expect(h, Hypergraph, "hypergraph_laplacian")
     return _laplacian(_incidence_lists(h), parity)
 
 
@@ -187,6 +183,7 @@ def cw_laplacian(x: CWHypergraph, d: int, parity: str) -> ExactMatrix:
 def susy_laplacian(h: Hypergraph) -> ExactMatrix:
     """Block direct sum of the even and odd Laplacians: (n+m) x (n+m),
     vertex block first."""
+    _expect(h, Hypergraph, "susy_laplacian")
     inc = _incidence_lists(h)
     even = _row_square(inc)
     odd = _row_square(inc.transposed())

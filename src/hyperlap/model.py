@@ -1,9 +1,11 @@
 """Core combinatorial data types: hypergraphs and CW-hypergraphs.
 
 Indices are 1-based everywhere at the API surface, matching the usual
-v_1, e_1 labelling conventions. All types are immutable after construction;
-`laplacian` keeps the checked incidence lists of a hypergraph or
-CW-hypergraph in its private `_views`, outside equality, hash and repr.
+v_1, e_1 labelling conventions. All types are immutable after construction.
+This module is the one input boundary: `_issues` holds every structural rule
+and `_check_query` every rule of a walk query. An object that passed is
+marked by its private `_views` (outside equality, hash and repr), where
+`laplacian` keeps its incidence lists, and is never checked again.
 """
 
 from __future__ import annotations
@@ -100,10 +102,7 @@ class CWHypergraph:
 
     def sign_table(self, d: int) -> dict[tuple[int, int], int]:
         """Lookup (i, j) -> sign for the incidence relation at level d."""
-        if not 0 <= d <= self.top_dim - 1:
-            raise LevelOutOfRangeError(
-                f"level {d} out of range [0..{self.top_dim - 1}]"
-            )
+        _check_level(self, d)
         return {(i, j): s for i, j, s in self.incidences[d]}
 
 
@@ -125,62 +124,107 @@ class ValidationReport:
 
 
 def _issues(obj: Hypergraph | CWHypergraph):
-    """Every structural error of obj, as `Issue`s, in a fixed order: the one
-    check that `validate` reports and every route raises on."""
+    """Every structural error of obj, as (key, `Issue`), in a fixed order:
+    the one check that `validate` reports and every route raises on. The key
+    names the element at fault: 0 for the vertex count or labels, j for edge
+    j, d for dimension d, (d, i, j) for an incidence, (d, j) for a skeleton."""
     if isinstance(obj, Hypergraph):
         if obj.n < 1:
-            yield Issue("error", "vertices", f"vertex count must be positive, got {obj.n}")
+            yield 0, Issue("error", "vertices", f"vertex count must be positive, got {obj.n}")
         for j, edge in enumerate(obj.edges, start=1):
             loc = f"edge {j}"
             if not edge:
-                yield Issue("error", loc, "edge is empty")
+                yield j, Issue("error", loc, "edge is empty")
                 continue
             for v in edge:
                 if not 1 <= v <= obj.n:
-                    yield Issue("error", loc, f"vertex index {v} out of range [1..{obj.n}]")
+                    yield j, Issue("error", loc, f"vertex index {v} out of range [1..{obj.n}]")
             if any(a >= b for a, b in zip(edge, edge[1:])):
-                yield Issue("error", loc, "vertex indices must be strictly increasing")
+                yield j, Issue("error", loc, "vertex indices must be strictly increasing")
         if len(obj.vertex_labels) != obj.n:
-            yield Issue("error", "labels", "vertex label count does not match n")
+            yield 0, Issue("error", "labels", "vertex label count does not match n")
         if len(obj.edge_labels) != obj.m:
-            yield Issue("error", "labels", "edge label count does not match m")
+            yield 0, Issue("error", "labels", "edge label count does not match m")
         return
     if len(obj.incidences) != max(len(obj.counts) - 1, 0):
-        yield Issue("error", "incidences", "need exactly one incidence level per consecutive dimension pair")
+        yield None, Issue("error", "incidences", "need exactly one incidence level per consecutive dimension pair")
         return
     for d, count in enumerate(obj.counts):
         if count < 0:
-            yield Issue("error", f"dimension {d}", f"negative cell count {count}")
+            yield d, Issue("error", f"dimension {d}", f"negative cell count {count}")
     for d, level in enumerate(obj.incidences):
         seen = set()
         for i, j, s in level:
-            loc = f"level {d} incidence ({i},{j})"
+            key, loc = (d, i, j), f"level {d} incidence ({i},{j})"
             if not 1 <= i <= obj.counts[d]:
-                yield Issue("error", loc, f"{d}-cell index {i} out of range [1..{obj.counts[d]}]")
+                yield key, Issue("error", loc, f"{d}-cell index {i} out of range [1..{obj.counts[d]}]")
             if not 1 <= j <= obj.counts[d + 1]:
-                yield Issue("error", loc, f"{d + 1}-cell index {j} out of range [1..{obj.counts[d + 1]}]")
+                yield key, Issue("error", loc, f"{d + 1}-cell index {j} out of range [1..{obj.counts[d + 1]}]")
             if s not in (-1, 1):
-                yield Issue("error", loc, f"sign must be -1 or +1, got {s}")
+                yield key, Issue("error", loc, f"sign must be -1 or +1, got {s}")
             if (i, j) in seen:
-                yield Issue("error", loc, "duplicate incidence pair")
+                yield key, Issue("error", loc, "duplicate incidence pair")
             seen.add((i, j))
     if obj.skeletons is not None:
         for (d, j), skel in obj.skeletons.items():
             loc = f"skeleton of {d}-cell {j}"
             if not 1 <= d <= obj.top_dim or not 1 <= j <= obj.counts[d]:
-                yield Issue("error", loc, "cell does not exist")
+                yield (d, j), Issue("error", loc, "cell does not exist")
                 continue
             if not skel:
-                yield Issue("error", loc, "skeleton is empty")
+                yield (d, j), Issue("error", loc, "skeleton is empty")
             for v in skel:
                 if not 1 <= v <= obj.counts[0]:
-                    yield Issue("error", loc, f"vertex index {v} out of range [1..{obj.counts[0]}]")
+                    yield (d, j), Issue("error", loc, f"vertex index {v} out of range [1..{obj.counts[0]}]")
+
+
+def _faults(obj: Hypergraph | CWHypergraph) -> list:
+    """`_issues` of an unmarked object, which is marked if it has none."""
+    if obj._views is not None:
+        return []
+    found = list(_issues(obj))
+    if not found:
+        object.__setattr__(obj, "_views", {})
+    return found
 
 
 def _check_structure(obj: Hypergraph | CWHypergraph) -> None:
     """Raise on the first issue `validate` would report as an error."""
-    for issue in _issues(obj):
+    for _key, issue in _faults(obj)[:1]:
         raise InvalidStructureError(f"invalid structure: {issue.location}: {issue.message}")
+
+
+def _expect(obj, cls: type, what: str) -> None:
+    """Refuse an object of the wrong type for a one-type entry point."""
+    if not isinstance(obj, cls):
+        raise InvalidArgumentError(f"{what} applies to a {cls.__name__}, got a {type(obj).__name__}")
+
+
+def _check_level(obj: Hypergraph | CWHypergraph, d: int) -> None:
+    """Check d against obj's incidence levels; a hypergraph has level 0 only."""
+    top = 0 if isinstance(obj, Hypergraph) else obj.top_dim - 1
+    if not 0 <= d <= top:
+        raise LevelOutOfRangeError(f"level {d} out of range [0..{top}]")
+
+
+def _check_query(obj: Hypergraph | CWHypergraph, kind: str, d: int, i: int, j: int, k: int) -> int:
+    """Check the kind against obj's type, then the level, the structure, from
+    i, to j and the length k. A hypergraph reads lower and upper as vertex and
+    edge; a CW-hypergraph takes only those two. Returns the side the walk runs
+    on: 0 for the rows of level d's incidence, 1 for its columns."""
+    kinds = ("vertex", "edge", "lower", "upper") if isinstance(obj, Hypergraph) else ("lower", "upper")
+    if kind not in kinds:
+        raise InvalidArgumentError(f"kind must be one of {', '.join(kinds)} on a {type(obj).__name__}, got {kind!r}")
+    _check_level(obj, d)
+    _check_structure(obj)
+    odd = int(kind in ("edge", "upper"))
+    size = (obj.n, obj.m)[odd] if isinstance(obj, Hypergraph) else obj.counts[d + odd]
+    for name, index in (("from", i), ("to", j)):
+        if not 1 <= index <= size:
+            raise IndexOutOfRangeError(f"{name} index {index} out of range [1..{size}]")
+    if k < 0:
+        raise InvalidArgumentError("length must be >= 0")
+    return odd
 
 
 def _boundary_squared(x: CWHypergraph) -> dict[int, bool]:
@@ -203,8 +247,9 @@ def _boundary_squared(x: CWHypergraph) -> dict[int, bool]:
 def validate(obj: Hypergraph | CWHypergraph) -> ValidationReport:
     """Check every structural invariant; violations are reported, not raised.
     A nonzero boundary composition of a CW-hypergraph is a warning, never an
-    error, and is looked for only when there are no errors."""
-    issues = list(_issues(obj))
+    error, and is looked for only when there are no errors. A checked object
+    is not checked again."""
+    issues = [issue for _key, issue in _faults(obj)]
     bsz = _boundary_squared(obj) if isinstance(obj, CWHypergraph) and not issues else {}
     issues += [Issue("warning", f"levels {d - 1}..{d}", "composed signed incidence is not zero")
                for d, zero in bsz.items() if not zero]

@@ -21,7 +21,7 @@ from itertools import islice
 from operator import mul
 
 from .laplacian import ExactMatrix, _Incidence, _incidence_lists, _row_square, identity, mat_mul
-from .model import CWHypergraph, Hypergraph, IndexOutOfRangeError, InvalidArgumentError
+from .model import CWHypergraph, Hypergraph, InvalidArgumentError, _check_query, _expect
 
 
 @dataclass(frozen=True)
@@ -53,41 +53,25 @@ def matrix_power(m: ExactMatrix, k: int) -> ExactMatrix:
     return ExactMatrix(dim=m.dim, entries=result, tag=f"{m.tag}^{k}")
 
 
-def _check_index(name: str, value: int, upper: int) -> None:
-    if not 1 <= value <= upper:
-        raise IndexOutOfRangeError(f"{name} index {value} out of range [1..{upper}]")
-
-
 def count_walks(h: Hypergraph, q: WalkQuery) -> CountResult:
     """Number of hyperwalks (kind=vertex) or edge-hyperwalks (kind=edge)
     of length q.length between the queried indices."""
-    if q.kind not in ("vertex", "edge"):
-        raise InvalidArgumentError(f"count_walks handles vertex/edge kinds, got {q.kind!r}")
-    return _walk_entry(h, q)
+    _expect(h, Hypergraph, "count_walks")
+    return signed_count(h, q)
 
 
 def signed_count(x: CWHypergraph, q: WalkQuery) -> CountResult:
     """Signed sum over (d,d+1)-hyperwalks (kind=lower, indices are d-cells)
-    or (d+1,d)-hyperwalks (kind=upper, indices are (d+1)-cells)."""
-    if q.kind not in ("lower", "upper"):
-        raise InvalidArgumentError(f"signed_count handles lower/upper kinds, got {q.kind!r}")
-    return _walk_entry(x, q)
-
-
-def _walk_entry(obj: Hypergraph | CWHypergraph, q: WalkQuery) -> CountResult:
-    """Entry (from, to) of the k-th power of the even Laplacian (vertex,
-    lower: walks on the rows of I) or the odd one (edge, upper: walks on
-    the columns), by whichever route costs less on this input."""
-    inc = _incidence_lists(obj, q.level)
-    even = q.kind in ("vertex", "lower")
-    side = inc if even else inc.transposed()
-    _check_index("from", q.from_index, side.rows)
-    _check_index("to", q.to_index, side.rows)
-    if q.length < 0:
-        raise InvalidArgumentError("length must be >= 0")
+    or (d+1,d)-hyperwalks (kind=upper, indices are (d+1)-cells). Both
+    functions read entry (from, to) of the k-th power of the even Laplacian
+    (vertex, lower: walks on the rows of I) or the odd one (edge, upper:
+    walks on the columns), by whichever route costs less on this input."""
+    odd = _check_query(x, q.kind, q.level, q.from_index, q.to_index, q.length)
+    inc = _incidence_lists(x, q.level)
+    side = inc.transposed() if odd else inc
     route = _binary_power if _prefers_binary_power(side, q.length) else _sparse_steps
     value = route(side, q.from_index - 1, q.to_index - 1, q.length)
-    return CountResult(value=value, query=q, family="even" if even else "odd")
+    return CountResult(value=value, query=q, family="odd" if odd else "even")
 
 
 def _prefers_binary_power(inc: _Incidence, k: int) -> bool:

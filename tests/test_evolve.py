@@ -117,9 +117,9 @@ def test_format_complex():
     assert format_complex(complex(-0.0, 0.0)) == "0+0i"
 
 
-def _three_part_format(z: complex, digits: int = 12) -> str:
-    re = f"{z.real + 0.0:.{digits}g}"
-    im = f"{abs(z.imag):.{digits}g}"
+def _three_part_format(z: complex) -> str:
+    re = f"{z.real + 0.0:.12g}"
+    im = f"{abs(z.imag):.12g}"
     sign = "-" if z.imag < 0 else "+"
     return f"{re}{sign}{im}i"
 
@@ -132,7 +132,6 @@ def test_format_complex_matches_the_three_part_formula():
             z = complex(re, im)
             for value in (z, np.complex128(z)):
                 assert format_complex(value) == _three_part_format(z)
-                assert format_complex(value, 3) == _three_part_format(z, 3)
     assert format_complex(complex(0.0, -0.0)) == "0+0i"
     assert format_complex(complex(1e300, -1e-300)) == "1e+300-1e-300i"
     assert format_complex(complex(float("-inf"), float("-inf"))) == "-inf-infi"

@@ -8,7 +8,9 @@ import pytest
 from hyperlap import (
     CWHypergraph,
     Hypergraph,
+    Walk,
     WalkQuery,
+    builtin_fixture,
     count_walks,
     cross_check,
     cw_laplacian,
@@ -17,14 +19,19 @@ from hyperlap import (
     enum_walks,
     hypergraph_laplacian,
     incidence,
+    parse_cw,
     partition_trace,
+    serialize,
     signed_count,
     susy_laplacian,
     validate,
+    walk_sign,
 )
 from hyperlap import model
 from hyperlap.laplacian import ExactMatrix, _incidence_lists
-from hyperlap.model import InvalidArgumentError, InvalidStructureError
+from hyperlap.enumeration import InvalidWalkError
+from hyperlap.model import (IndexOutOfRangeError, InvalidArgumentError, InvalidStructureError,
+                            LevelOutOfRangeError)
 from hyperlap.walkcount import matrix_power
 
 INVALID_HYPERGRAPHS = [
@@ -165,3 +172,109 @@ def test_the_kept_lists_leave_equality_hash_and_repr_alone():
 def test_exact_matrix_of_the_wrong_shape_is_refused(call):
     with pytest.raises(InvalidArgumentError, match="entries must be 3 rows of 3"):
         call()
+
+
+DUPLICATE_PAIR = CWHypergraph(counts=(2, 1), incidences=(((1, 1, 1), (1, 1, -1)),))
+
+
+def test_each_object_is_checked_once_from_parse_to_enumeration(monkeypatch):
+    runs = []
+    issues = model._issues
+
+    def counted(obj):
+        runs.append(obj)
+        return issues(obj)
+
+    monkeypatch.setattr(model, "_issues", counted)
+    x = parse_cw(serialize(builtin_fixture("fig2")))
+    assert validate(x).ok
+    assert signed_count(x, WalkQuery("lower", 1, 6, 4, level=1)).value == 0
+    assert cross_check(x, 2).ok and cross_check(x, 2).ok
+    assert len(enum_signed_walks(x, 1, "upper", 1, 3, 1)) == 1
+    assert runs == [x]
+
+
+BAD_QUERIES = [
+    (WalkQuery("vertex", 1, 1, 1, level=0), InvalidArgumentError, "kind must be one of lower, upper"),
+    (WalkQuery("edge", 1, 1, 1, level=9), InvalidArgumentError, "kind must be one of lower, upper"),
+    (WalkQuery("lower", 9, 9, -1, level=2), LevelOutOfRangeError, "level 2 out of range [0..1]"),
+    (WalkQuery("upper", 4, 9, -1, level=1), IndexOutOfRangeError, "from index 4 out of range [1..3]"),
+    (WalkQuery("lower", 1, 7, -1, level=1), IndexOutOfRangeError, "to index 7 out of range [1..6]"),
+    (WalkQuery("lower", 1, 6, -1, level=1), InvalidArgumentError, "length must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("q, error, message", BAD_QUERIES)
+def test_both_routes_refuse_a_query_with_the_same_first_error(fig2, q, error, message):
+    calls = [lambda: signed_count(fig2, q),
+             lambda: enum_signed_walks(fig2, q.level, q.kind, q.from_index, q.to_index, q.length)]
+    for call in calls:
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value).startswith(message)
+
+
+def test_a_query_on_an_invalid_structure_raises_after_the_level_and_before_the_indices():
+    with pytest.raises(LevelOutOfRangeError):
+        signed_count(DUPLICATE_PAIR, WalkQuery("lower", 9, 9, 1, level=1))
+    for call in (lambda: signed_count(DUPLICATE_PAIR, WalkQuery("lower", 9, 9, -1)),
+                 lambda: enum_signed_walks(DUPLICATE_PAIR, 0, "lower", 9, 9, -1)):
+        with pytest.raises(InvalidStructureError, match="duplicate incidence pair"):
+            call()
+
+
+def test_vertex_and_edge_kinds_are_refused_on_a_cw_hypergraph(fig2):
+    with pytest.raises(InvalidArgumentError):
+        count_walks(fig2, WalkQuery("vertex", 1, 2, 2))
+    with pytest.raises(InvalidArgumentError):
+        count_walks(fig2, WalkQuery("lower", 1, 2, 2))
+    for kind in ("vertex", "edge"):
+        with pytest.raises(InvalidArgumentError):
+            enum_walks(fig2, kind, 1, 2, 2)
+        with pytest.raises(InvalidArgumentError):
+            enum_signed_walks(fig2, 0, kind, 1, 2, 2)
+
+
+def test_lower_and_upper_on_a_hypergraph_read_level_zero_with_every_sign_plus_one(fig1):
+    assert signed_count(fig1, WalkQuery("lower", 1, 3, 4)).value == 5886
+    assert signed_count(fig1, WalkQuery("upper", 7, 9, 3)).value == 384
+    pairs = enum_signed_walks(fig1, 0, "lower", 1, 3, 1)
+    assert [(w.steps, s) for w, s in pairs] == [((1, 2, 3), 1), ((1, 7, 3), 1)]
+    for call in (lambda: signed_count(fig1, WalkQuery("lower", 1, 3, 4, level=1)),
+                 lambda: enum_signed_walks(fig1, 1, "upper", 1, 1, 1)):
+        with pytest.raises(LevelOutOfRangeError, match=r"level 1 out of range \[0..0\]"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: incidence(x),
+        lambda x: hypergraph_laplacian(x, "even"),
+        lambda x: susy_laplacian(x),
+        lambda x: partition_trace(x, 1.0),
+    ],
+    ids=["incidence", "hypergraph_laplacian", "susy_laplacian", "partition_trace"],
+)
+def test_hypergraph_only_builders_refuse_a_cw_hypergraph(fig2, call):
+    with pytest.raises(InvalidArgumentError, match="applies to a Hypergraph, got a CWHypergraph"):
+        call(fig2)
+
+
+def test_walk_sign_refuses_a_walk_that_ends_on_the_other_tier(fig2):
+    for steps in ((1, 2), ()):
+        with pytest.raises(InvalidWalkError, match="odd number of steps"):
+            walk_sign(fig2, Walk("lower", steps))
+
+
+def test_walk_sign_raises_validates_first_error():
+    with pytest.raises(InvalidStructureError) as err:
+        walk_sign(DUPLICATE_PAIR, Walk("lower", (1, 1, 1)))
+    assert str(err.value) == "invalid structure: level 0 incidence (1,1): duplicate incidence pair"
+
+
+def test_walk_sign_checks_the_level_and_refuses_a_hypergraph(fig1, fig2):
+    with pytest.raises(LevelOutOfRangeError, match=r"level 2 out of range \[0..1\]"):
+        walk_sign(fig2, Walk("lower", (1,), level=2))
+    with pytest.raises(InvalidArgumentError, match="applies to a CWHypergraph, got a Hypergraph"):
+        walk_sign(fig1, Walk("lower", (1, 2, 3)))
