@@ -28,7 +28,6 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 BUDGET = {"HYPERLAP_BUDGET": "40"}
 
 _FIG1_VERTEX = ["--fixture", "fig1", "--kind", "vertex", "--from", "1", "--to", "3"]
-_FIG2_LOWER = ["--fixture", "fig2", "--dim", "1", "--kind", "lower"]
 
 
 def _walks(kind, src, a, b, k, *extra):
@@ -51,7 +50,7 @@ _SUCCEEDS = {
     "validate-seed16-warning": ["validate", *_file("seed16.cw")],
     "validate-seed9": ["validate", *_file("seed9.cw")],
     "validate-comments-crlf": ["validate", *_file("comments-crlf.hg")],
-    "validate-skel-before-its-cells": ["validate", *_file("bad-skel-before-its-cells.cw")],
+    "validate-skel-before-its-cells": ["validate", *_file("skel-before-its-cells.cw")],
     "laplacian-fig1-even": ["laplacian", *_fig("fig1"), "--which", "even"],
     "laplacian-fig1-odd": ["laplacian", *_fig("fig1"), "--which", "odd"],
     "laplacian-fig2-d0-even": ["laplacian", *_fig("fig2"), "--which", "even", "--dim", "0"],
@@ -93,7 +92,7 @@ _SUCCEEDS = {
     "fixture-fig2-emit": ["fixture", "--name", "fig2", "--emit"],
 }
 
-# name -> (argv, environment) of every command that fails
+# name -> (argv, environment) of the budget and user-error paths
 _FAILS = {
     "budget-enumerate": (["enumerate", *_FIG1_VERTEX, "--length", "3"], BUDGET),
     "budget-enumerate-fits": (["enumerate", *_FIG1_VERTEX, "--length", "1"], BUDGET),
@@ -141,7 +140,7 @@ _FAILS = {
     "evolve-on-bad-file": (["evolve", *_file("bad-vertices-zero.hg"), "--theta", "1"], {}),
 }
 
-_BAD_INPUTS = sorted(p.name for p in (GOLDEN_DIR / "inputs").glob("bad-*") if p.name != "bad-skel-before-its-cells.cw")
+_BAD_INPUTS = sorted(p.name for p in (GOLDEN_DIR / "inputs").glob("bad-*"))
 
 CASES: dict[str, tuple[list[str], dict[str, str]]] = {}
 for _name, _argv in _SUCCEEDS.items():
