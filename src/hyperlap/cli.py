@@ -146,8 +146,11 @@ def _cmd_evolve(args) -> int:
         _emit(args, text, f"trace={text}")
     else:
         u = evolve.evolution_operator(laplacian.susy_laplacian(obj), args.theta)
-        for i, row in enumerate(u.tolist(), start=1):
-            line = " ".join(evolve.format_complex(z) for z in row)
+        # the blocks never mix, so only the diagonal ones are formatted
+        n, zeros_n, zeros_m = obj.n, "0+0i " * obj.n, " 0+0i" * obj.m
+        lines = [" ".join(map(evolve.format_complex, row)) + zeros_m for row in u[:n, :n].tolist()]
+        lines += [zeros_n + " ".join(map(evolve.format_complex, row)) for row in u[n:, n:].tolist()]
+        for i, line in enumerate(lines, start=1):
             print(f"row{i}={line}" if args.machine else line)
     return 0
 

@@ -136,6 +136,8 @@ def parse_cw(text: str) -> CWHypergraph:
                 raise ParseError("expected 'skel <d> <j> <v1> <v2> ...'", loc)
             d = _parse_int(tokens[1], "dimension", loc)
             j = _parse_int(tokens[2], "cell index", loc)
+            if (d, j) in skels:
+                raise ParseError(f"duplicate 'skel' line for {d}-cell {j}", loc)
             skels[(d, j)] = tuple(sorted(_parse_int(t, "vertex index", loc) for t in tokens[3:]))
             where[d, j] = loc
         else:
@@ -143,12 +145,14 @@ def parse_cw(text: str) -> CWHypergraph:
     if not counts:
         raise ParseError("missing 'cells' lines", SourceLocation(1, 1, ""))
     incidences = tuple(tuple(incs.get(d, [])) for d in range(len(counts) - 1))
-    return _checked(CWHypergraph(counts=tuple(counts), incidences=incidences,
-                                 skeletons=skels if skels else None), where)
+    return _checked(CWHypergraph(counts=tuple(counts), incidences=incidences, skeletons=skels), where)
 
 
 def serialize(obj: Hypergraph | CWHypergraph) -> str:
-    """Inverse of the parsers: parse(serialize(x)) is structurally x."""
+    """Inverse of the parsers: parse(serialize(x)) == x, except for a
+    hypergraph's vertex labels, which `.hg` cannot express; they come back
+    as the defaults v1..vn. Edge labels are written as edge names, so each
+    must be one token without `#`."""
     out = []
     if isinstance(obj, Hypergraph):
         out.append(f"vertices {obj.n}")

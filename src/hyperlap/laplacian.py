@@ -36,7 +36,10 @@ class IncidenceMatrix:
 class ExactMatrix:
     """Dense square integer matrix (a Laplacian or a power of one).
     `susy_laplacian` keeps the incidence it was built from in `_incidence`,
-    outside equality, hash and repr; `dataclasses.replace` drops it."""
+    outside equality, hash and repr; `dataclasses.replace` drops it. Such a
+    matrix is symmetric by construction, and its entries are built from the
+    incidence on first read. `evolve` takes the bound rho of any other matrix
+    from its entries, and of this one from the incidence lists alone."""
 
     dim: int
     entries: tuple[tuple[int, ...], ...]
@@ -46,6 +49,13 @@ class ExactMatrix:
     def __post_init__(self):
         if len(self.entries) != self.dim or any(len(row) != self.dim for row in self.entries):
             raise InvalidArgumentError(f"entries must be {self.dim} rows of {self.dim}")
+
+    def __getattr__(self, name: str):
+        # reached only when normal lookup fails: the unbuilt entries of a susy matrix
+        if name != "entries" or self._incidence is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "entries", _susy_entries(self._incidence))
+        return self.entries
 
     def entry(self, i: int, j: int) -> int:
         """1-based entry access."""
@@ -180,15 +190,17 @@ def cw_laplacian(x: CWHypergraph, d: int, parity: str) -> ExactMatrix:
     return _laplacian(_incidence_lists(x, d), parity)
 
 
+def _susy_entries(inc: _Incidence) -> tuple[tuple[int, ...], ...]:
+    even, odd = _row_square(inc), _row_square(inc.transposed())
+    pad_m, pad_n = (0,) * inc.cols, (0,) * inc.rows
+    return tuple(r + pad_m for r in even) + tuple(pad_n + r for r in odd)
+
+
 def susy_laplacian(h: Hypergraph) -> ExactMatrix:
     """Block direct sum of the even and odd Laplacians: (n+m) x (n+m),
-    vertex block first."""
+    vertex block first. The entries are built on first read (`ExactMatrix`)."""
     _expect(h, Hypergraph, "susy_laplacian")
     inc = _incidence_lists(h)
-    even = _row_square(inc)
-    odd = _row_square(inc.transposed())
-    pad_m, pad_n = (0,) * inc.cols, (0,) * inc.rows
-    rows = tuple(r + pad_m for r in even) + tuple(pad_n + r for r in odd)
-    out = ExactMatrix(dim=inc.rows + inc.cols, entries=rows, tag="susy")
-    object.__setattr__(out, "_incidence", inc)
+    out = object.__new__(ExactMatrix)
+    vars(out).update(dim=inc.rows + inc.cols, tag="susy", _incidence=inc)
     return out

@@ -82,7 +82,8 @@ class CWHypergraph:
 
     ``incidences[d]`` is a tuple of (i, j, s) triples: d-cell i is incident
     to (d+1)-cell j with sign s. ``skeletons`` optionally maps (d, j) with
-    d >= 1 to the 0-skeleton vertex tuple of cell e_j^d, in a read-only copy.
+    d >= 1 to the 0-skeleton vertex tuple of cell e_j^d, in a read-only copy;
+    an empty map is stored as None, as a `.cw` file without `skel` lines reads.
     """
 
     counts: tuple[int, ...]
@@ -93,8 +94,7 @@ class CWHypergraph:
     def __post_init__(self):
         object.__setattr__(self, "counts", tuple(self.counts))
         object.__setattr__(self, "incidences", tuple(tuple(tuple(t) for t in level) for level in self.incidences))
-        if self.skeletons is not None:
-            object.__setattr__(self, "skeletons", MappingProxyType(dict(self.skeletons)))
+        object.__setattr__(self, "skeletons", MappingProxyType(dict(self.skeletons)) if self.skeletons else None)
 
     @property
     def top_dim(self) -> int:

@@ -1,6 +1,8 @@
 import cmath
 import collections
 import dataclasses
+import math
+import pickle
 import random
 
 import numpy as np
@@ -14,8 +16,9 @@ from hyperlap import (
     partition_trace,
     susy_laplacian,
 )
-from hyperlap.evolve import NotSymmetricError, format_complex
-from hyperlap.laplacian import ExactMatrix
+from hyperlap import laplacian
+from hyperlap.evolve import NotSymmetricError, _row_sum_bound, _smaller_side, format_complex
+from hyperlap.laplacian import ExactMatrix, _incidence_lists
 from hyperlap.model import HyperlapError, InvalidArgumentError
 from random_instances import random_hypergraph
 
@@ -263,3 +266,79 @@ def test_susy_operator_is_one_eigh_of_the_smaller_gram(fig1, monkeypatch):
         evolution_operator(susy_laplacian(h), 0.7)
         s = min(h.n, h.m)
         assert shapes == [(s, s)], (h, shapes)
+
+
+def _dense_rho(entries):
+    return max((sum(map(abs, row)) for row in entries), default=0)
+
+
+def test_rho_from_the_lists_is_the_dense_largest_row_sum(fig1):
+    for h in _gram_route_cases() + [fig1]:
+        inc = _incidence_lists(h)
+        assert _row_sum_bound(inc, inc.transposed()) == _dense_rho(susy_laplacian(h).entries), h
+        smaller = hypergraph_laplacian(h, "even" if h.n <= h.m else "odd")
+        assert _row_sum_bound(_smaller_side(inc)[0]) == _dense_rho(smaller.entries), h
+
+
+def _guard_outcome(m, theta):
+    try:
+        evolution_operator(m, theta)
+    except InvalidArgumentError as exc:
+        return str(exc)
+    return None
+
+
+def test_guard_accepts_and_rejects_alike_on_both_routes_at_its_edge(fig1):
+    outcomes = collections.Counter()
+    for h in _gram_route_cases() + [fig1]:
+        susy = susy_laplacian(h)
+        generic = ExactMatrix(dim=susy.dim, entries=susy.entries)
+        rho = _dense_rho(susy.entries)
+        if rho == 0:
+            continue
+        edge = 2**52 / rho
+        for theta in (edge, math.nextafter(edge, 0), -edge):
+            got = _guard_outcome(susy_laplacian(h), theta)
+            assert got == _guard_outcome(generic, theta), (h, theta)
+            outcomes[got is None] += 1
+    assert outcomes[True] > 20 and outcomes[False] > 20, outcomes
+
+
+def test_susy_route_does_no_dense_work_and_builds_no_entries(fig1, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("dense work on the susy route")
+
+    monkeypatch.setattr(ExactMatrix, "is_symmetric", refuse)
+    monkeypatch.setattr(laplacian, "_row_square", refuse)
+    for h in _SHAPED_CASES + [fig1]:
+        susy = susy_laplacian(h)
+        for theta in (0.0, 0.7, -3.0):
+            evolution_operator(susy, theta)
+        partition_trace(h, 0.7)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            evolution_operator(susy, float("nan"))
+        assert "entries" not in vars(susy)
+
+
+def test_susy_entries_are_built_on_first_read_and_then_kept(fig1):
+    plain = ExactMatrix(dim=13, entries=susy_laplacian(fig1).entries, tag="susy")
+    reads = [
+        lambda s: s == plain,
+        lambda s: plain == s,
+        lambda s: hash(s) == hash(plain),
+        lambda s: repr(s) == repr(plain),
+        lambda s: dataclasses.replace(s) == plain,
+        lambda s: s.trace() == 42 and s.entry(1, 1) == plain.entry(1, 1),
+        lambda s: s.is_symmetric(),
+    ]
+    for read in reads:
+        susy = susy_laplacian(fig1)
+        assert "entries" not in vars(susy)
+        assert read(susy)
+        assert "entries" in vars(susy) and susy.entries == plain.entries
+    copy = pickle.loads(pickle.dumps(susy_laplacian(fig1)))
+    assert "entries" not in vars(copy) and copy == plain
+    with pytest.raises(AttributeError, match="no_such_name"):
+        susy_laplacian(fig1).no_such_name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        plain.no_such_name

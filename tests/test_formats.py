@@ -1,8 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
-from hyperlap import ParseError, builtin_fixture, parse_cw, parse_hg, serialize
+from hyperlap import CWHypergraph, Hypergraph, ParseError, builtin_fixture, parse_cw, parse_hg, serialize
 from hyperlap.model import HyperlapError
 from random_instances import random_cw, random_hypergraph
 
@@ -78,14 +79,27 @@ def test_cw_dimensions_must_ascend():
 
 
 def test_serialize_empty_hypergraph():
-    from hyperlap.model import Hypergraph
-
     assert serialize(Hypergraph(n=1, edges=())) == "vertices 1\n"
 
 
 def test_round_trip_fixtures(fig1, fig2):
     assert parse_hg(serialize(fig1)) == fig1
     assert parse_cw(serialize(fig2)) == fig2
+
+
+def test_round_trip_empty_skeleton_map():
+    x = CWHypergraph(counts=(2, 1), incidences=(((1, 1, 1),),), skeletons={})
+    assert x.skeletons is None
+    assert parse_cw(serialize(x)) == x
+
+
+def test_round_trip_keeps_all_but_a_hypergraphs_vertex_labels():
+    h = Hypergraph(n=3, edges=((1, 2), (2, 3)), vertex_labels=("a", "b", "c"), edge_labels=("x", "y"))
+    back = parse_hg(serialize(h))
+    # .hg has no syntax for vertex labels: they come back as the defaults
+    assert back != h and back.vertex_labels == ("v1", "v2", "v3")
+    # and that is all it leaves out
+    assert back == dataclasses.replace(h, vertex_labels=())
 
 
 def test_round_trip_random_instances():

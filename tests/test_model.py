@@ -110,3 +110,14 @@ def test_skeletons_cannot_change_after_the_first_query():
     assert x == plain
     assert serialize(x) == serialize(plain)
     assert project_hypergraph(x) == project_hypergraph(plain)
+
+
+def test_an_empty_skeleton_map_reads_as_none():
+    x, y = (CWHypergraph(counts=(2, 1), incidences=(((1, 1, 1),),), skeletons=s) for s in ({}, None))
+    assert x == y
+    assert validate(x) == validate(y)
+    for obj in (x, y):
+        with pytest.raises(MissingSkeletonError, match="1-cell 1"):
+            project_hypergraph(obj)
+    points = [CWHypergraph(counts=(3,), incidences=(), skeletons=s) for s in ({}, None)]
+    assert project_hypergraph(points[0]) == project_hypergraph(points[1]) == Hypergraph(n=3, edges=())
