@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hyperlap import (
     signed_count,
     walk_sign,
 )
-from hyperlap import enumeration, laplacian, walkcount
+from hyperlap import cli, enumeration, formats, laplacian, walkcount
 from hyperlap.enumeration import InvalidWalkError
 from hyperlap.laplacian import _incidence_lists
 from hyperlap.model import CWHypergraph, Hypergraph, InvalidStructureError
@@ -216,16 +217,21 @@ def test_cross_check_property(obj, kmax):
     assert cross_check(obj, kmax).ok
 
 
-def _perturbed(monkeypatch, obj, pick):
+def _perturbed(monkeypatch, obj, pick, d=0):
     """Make cross_check read sweeps in which every entry (i, j) of the k-th
-    power of obj's Laplacian of parity `tag` is raised by pick(tag, i, j, k)
-    (0 leaves it alone): only the even half-steps, the rows, are changed."""
+    power of the Laplacian of parity `tag` at obj's level d is raised by
+    pick(tag, i, j, k) (0 leaves it alone): only the even half-steps, the
+    rows, are changed, and the sweeps of every other level are left alone."""
     real = enumeration._half_steps
 
     def fake(inc, start):
-        tag = "even" if inc is _incidence_lists(obj) else "odd"
+        level = _incidence_lists(obj, d)
+        tag = {id(level.by_row): "even", id(level.by_col): "odd"}.get(id(inc.by_row))
         for t, v in enumerate(real(inc, start)):
-            yield [x + pick(tag, start + 1, j, t // 2) for j, x in enumerate(v, start=1)] if t % 2 == 0 else v
+            if tag is None or t % 2:
+                yield v
+            else:
+                yield [x + pick(tag, start + 1, j, t // 2) for j, x in enumerate(v, start=1)]
 
     monkeypatch.setattr(enumeration, "_half_steps", fake)
 
@@ -243,6 +249,34 @@ def test_cross_check_checked_and_mismatch_order(monkeypatch, fig1):
         (kind, i, j, k) for kind in ("vertex", "edge") for k in range(4) for i, j in ((1, 2), (2, 1), (3, 1))
     ]
     assert all(mv == ov + 1 for *_, mv, ov in report.mismatches)
+
+
+def _raise_fig2_upper_1_3(monkeypatch, fig2):
+    # the length-1 upper signed sum from face 1 to face 3 is +1 (REPORT.md)
+    _perturbed(monkeypatch, fig2, lambda tag, i, j, k: int(tag == "odd" and (i, j, k) == (1, 3, 1)), d=1)
+
+
+def test_cross_check_names_the_level_of_a_mismatch(monkeypatch, fig2):
+    _raise_fig2_upper_1_3(monkeypatch, fig2)
+    assert cross_check(fig2, 2).mismatches == (("upper@d=1", 1, 3, 1, 2, 1),)
+
+
+def test_cross_check_description(fig1, fig2):
+    assert cross_check(fig1, 3).description == "hypergraph n=4 m=9 kmax=3"
+    assert cross_check(fig2, 2).description == "cw counts=(4, 6, 3) kmax=2"
+
+
+def test_check_reports_a_mismatch_with_exit_2(monkeypatch, capsys, fig2):
+    _raise_fig2_upper_1_3(monkeypatch, fig2)
+    monkeypatch.setattr(formats, "builtin_fixture", lambda name: fig2)
+    assert cli.main(["check", "--fixture", "fig2", "--max-length", "2"]) == 2
+    assert capsys.readouterr().out == "1 mismatches\n  upper@d=1 1->3 k=1: matrix 2 oracle 1\n"
+
+
+def test_cross_check_refuses_an_invalid_object_with_no_level():
+    with pytest.raises(InvalidStructureError,
+                       match=re.escape("invalid structure: dimension 0: negative cell count -1")):
+        cross_check(CWHypergraph(counts=(-1,), incidences=()), 1)
 
 
 def test_long_walks_need_no_recursion():
