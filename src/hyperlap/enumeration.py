@@ -17,7 +17,7 @@ from itertools import islice
 
 from .laplacian import _incidence_lists
 from .model import (CWHypergraph, Hypergraph, HyperlapError, InvalidArgumentError, _check_query, _check_structure,
-                    _expect)
+                    _expect, _level, _report_names)
 from .walkcount import _half_steps
 
 DEFAULT_BUDGET = 10_000_000
@@ -71,27 +71,19 @@ class CrossCheckReport:
         return not self.mismatches
 
 
-def _levels(obj: Hypergraph | CWHypergraph) -> list[tuple[list, list]]:
-    """Per incidence level, (even, odd): even[a] lists one hyperwalk step
-    (middle, next, sign) from vertex / d-cell a, odd[c] from edge /
-    (d+1)-cell c, in lexicographic order, 1-based with slot 0 unused. The
-    sign is the product of the step's two incidence signs; a hypergraph is
-    level 0 with all signs +1. Raises for any structure `validate` rejects."""
-    _check_structure(obj)
-    if isinstance(obj, Hypergraph):
-        shapes = [((obj.n, obj.m), ((v, j, 1) for j, e in enumerate(obj.edges, start=1) for v in e))]
-    else:
-        shapes = [((obj.counts[d], obj.counts[d + 1]), sorted(level)) for d, level in enumerate(obj.incidences)]
-    out = []
-    for (rows, cols), triples in shapes:
-        up = [[] for _ in range(rows + 1)]
-        down = [[] for _ in range(cols + 1)]
-        for a, c, s in triples:
-            up[a].append((c, s))
-            down[c].append((a, s))
-        out.append(([[(c, b, s * t) for c, s in nbrs for b, t in down[c]] for nbrs in up],
-                    [[(a, e, s * t) for a, s in nbrs for e, t in up[a]] for nbrs in down]))
-    return out
+def _steps(obj: Hypergraph | CWHypergraph, d: int) -> tuple[list, list]:
+    """(even, odd) for level d of a checked obj: even[a] lists one hyperwalk
+    step (middle, next, sign) from row a, odd[c] from column c, in
+    lexicographic order, 1-based with slot 0 unused. The sign is the product
+    of the step's two incidence signs."""
+    rows, cols, triples = _level(obj, d)
+    up = [[] for _ in range(rows + 1)]
+    down = [[] for _ in range(cols + 1)]
+    for a, c, s in sorted(triples):
+        up[a].append((c, s))
+        down[c].append((a, s))
+    return ([[(c, b, s * t) for c, s in nbrs for b, t in down[c]] for nbrs in up],
+            [[(a, e, s * t) for a, s in nbrs for e, t in up[a]] for nbrs in down])
 
 
 def _spend(used, limit, start):
@@ -140,7 +132,7 @@ def _listed(obj, d, kind, i, j, k, budget):
     """The walks of one kind, of length exactly k from i to j, with their
     signs, in lexicographic step order."""
     odd = _check_query(obj, kind, d, i, j, k)
-    steps = _levels(obj)[d][odd]
+    steps = _steps(obj, d)[odd]
     limit = budget if budget is not None else enumeration_budget()
     out = []
     used = 1
@@ -202,18 +194,13 @@ def cross_check(obj: Hypergraph | CWHypergraph, kmax: int,
     compared with start i's tally. Mismatches are ordered by kind, then k, i, j."""
     if kmax < 1:
         raise InvalidArgumentError("kmax must be >= 1")
-    levels = _levels(obj)
+    _check_structure(obj)
+    desc, kinds = _report_names(obj, kmax)
     limit = budget if budget is not None else enumeration_budget()
-    if isinstance(obj, Hypergraph):
-        kinds = [("vertex", "edge")]
-        desc = f"hypergraph n={obj.n} m={obj.m} kmax={kmax}"
-    else:
-        kinds = [(f"lower@d={d}", f"upper@d={d}") for d in range(obj.top_dim)]
-        desc = f"cw counts={obj.counts} kmax={kmax}"
-    mismatches = []
-    for d, (pair, sides) in enumerate(zip(kinds, levels)):
+    mismatches, checked = [], 0
+    for d, pair in enumerate(kinds):
         inc = _incidence_lists(obj, d)
-        for kind, side, steps in zip(pair, (inc, inc.transposed()), sides):
+        for kind, side, steps in zip(pair, (inc, inc.transposed()), _steps(obj, d)):
             found = []
             for i in range(1, len(steps)):
                 tally = _tally(i, kmax, steps, limit)
@@ -221,5 +208,5 @@ def cross_check(obj: Hypergraph | CWHypergraph, kmax: int,
                 found += [(k, i, j, mv, ov) for k, row in enumerate(rows) if row != tally[k][1:]
                           for j, (mv, ov) in enumerate(zip(row, tally[k][1:]), start=1) if mv != ov]
             mismatches += [(kind, i, j, k, mv, ov) for k, i, j, mv, ov in sorted(found)]
-    checked = sum((kmax + 1) * (len(steps) - 1) ** 2 for sides in levels for steps in sides)
+            checked += (kmax + 1) * (len(steps) - 1) ** 2
     return CrossCheckReport(description=desc, checked=checked, mismatches=tuple(mismatches))

@@ -5,8 +5,7 @@ Every matrix here is built from one sparse form of the incidence relation
 (`_incidence_lists`). It is built only for a structure that passed
 `model._check_structure`, the same check `validate` reports and the
 enumerator raises on, which runs at most once per object; the lists of
-each level are kept in the `_views` that marks the object as checked. A
-hypergraph is read as a one-level CW-hypergraph whose signs are all +1.
+each level are kept in the `_views` that marks the object as checked.
 
 Matrices are dense tuples-of-tuples of Python ints; entries never overflow,
 which matters because walk counts grow geometrically with the power.
@@ -17,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .model import CWHypergraph, Hypergraph, InvalidArgumentError, _check_level, _check_structure, _expect
+from .model import CWHypergraph, Hypergraph, InvalidArgumentError, _check_level, _check_structure, _expect, _level
 
 
 @dataclass(frozen=True)
@@ -89,19 +88,14 @@ class _Incidence(NamedTuple):
 
 
 def _incidence_lists(obj: Hypergraph | CWHypergraph, d: int = 0) -> _Incidence:
-    """The incidence lists of a hypergraph (level 0) or of level d of a
-    CW-hypergraph. `_check_structure` raises on every structure `validate`
-    rejects; the lists of each level are then built once and kept in the
-    object's `_views`."""
+    """The incidence lists of level d of obj, read from `model._level`.
+    `_check_structure` raises on every structure `validate` rejects; the
+    lists of each level are then built once and kept in the object's `_views`."""
     _check_level(obj, d)
     _check_structure(obj)
     views = obj._views
     if d not in views:
-        if isinstance(obj, Hypergraph):
-            rows, cols = obj.n, obj.m
-            triples = ((v, j, 1) for j, edge in enumerate(obj.edges, start=1) for v in edge)
-        else:
-            rows, cols, triples = obj.counts[d], obj.counts[d + 1], obj.incidences[d]
+        rows, cols, triples = _level(obj, d)
         by_row = [[] for _ in range(rows)]
         by_col = [[] for _ in range(cols)]
         for i, j, s in triples:

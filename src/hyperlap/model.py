@@ -40,7 +40,10 @@ class InvalidArgumentError(HyperlapError, ValueError):
     an unknown kind or parity, a non-finite theta, a malformed budget."""
 
 
-def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
+def _labels(given, prefix: str, count: int) -> tuple[str, ...]:
+    """The labels given, or if there are none the defaults prefix1..prefix<count>."""
+    if given:
+        return tuple(given)
     return tuple(f"{prefix}{i}" for i in range(1, count + 1))
 
 
@@ -60,14 +63,8 @@ class Hypergraph:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        if not self.vertex_labels:
-            object.__setattr__(self, "vertex_labels", _default_labels("v", self.n))
-        else:
-            object.__setattr__(self, "vertex_labels", tuple(self.vertex_labels))
-        if not self.edge_labels:
-            object.__setattr__(self, "edge_labels", _default_labels("e", len(self.edges)))
-        else:
-            object.__setattr__(self, "edge_labels", tuple(self.edge_labels))
+        object.__setattr__(self, "vertex_labels", _labels(self.vertex_labels, "v", self.n))
+        object.__setattr__(self, "edge_labels", _labels(self.edge_labels, "e", len(self.edges)))
 
     @property
     def m(self) -> int:
@@ -207,6 +204,16 @@ def _check_level(obj: Hypergraph | CWHypergraph, d: int) -> None:
         raise LevelOutOfRangeError(f"level {d} out of range [0..{top}]")
 
 
+def _level(obj: Hypergraph | CWHypergraph, d: int):
+    """Level d of obj as (rows, cols, triples), a triple (i, j, s) for each
+    d-cell i on (d+1)-cell j with sign s: the one shape of both types. A
+    hypergraph is the one-level case with every sign +1, its vertices as
+    rows and its edges as columns, in edge order; a CW level is not copied."""
+    if isinstance(obj, Hypergraph):
+        return obj.n, obj.m, ((v, j, 1) for j, edge in enumerate(obj.edges, start=1) for v in edge)
+    return obj.counts[d], obj.counts[d + 1], obj.incidences[d]
+
+
 def _check_query(obj: Hypergraph | CWHypergraph, kind: str, d: int, i: int, j: int, k: int) -> int:
     """Check the kind against obj's type, then the level, the structure, from
     i, to j and the length k. A hypergraph reads lower and upper as vertex and
@@ -218,13 +225,21 @@ def _check_query(obj: Hypergraph | CWHypergraph, kind: str, d: int, i: int, j: i
     _check_level(obj, d)
     _check_structure(obj)
     odd = int(kind in ("edge", "upper"))
-    size = (obj.n, obj.m)[odd] if isinstance(obj, Hypergraph) else obj.counts[d + odd]
+    size = _level(obj, d)[odd]
     for name, index in (("from", i), ("to", j)):
         if not 1 <= index <= size:
             raise IndexOutOfRangeError(f"{name} index {index} out of range [1..{size}]")
     if k < 0:
         raise InvalidArgumentError("length must be >= 0")
     return odd
+
+
+def _report_names(obj: Hypergraph | CWHypergraph, kmax: int) -> tuple[str, list[tuple[str, str]]]:
+    """A cross-check report's description of obj, and per level the kinds
+    of the mismatches on its rows and on its columns."""
+    if isinstance(obj, Hypergraph):
+        return f"hypergraph n={obj.n} m={obj.m} kmax={kmax}", [("vertex", "edge")]
+    return f"cw counts={obj.counts} kmax={kmax}", [(f"lower@d={d}", f"upper@d={d}") for d in range(obj.top_dim)]
 
 
 def _boundary_squared(x: CWHypergraph) -> dict[int, bool]:

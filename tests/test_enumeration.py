@@ -279,6 +279,19 @@ def test_cross_check_refuses_an_invalid_object_with_no_level():
         cross_check(CWHypergraph(counts=(-1,), incidences=()), 1)
 
 
+def test_listing_builds_the_steps_of_its_own_level_only(monkeypatch, fig2):
+    built = []
+    real = enumeration._level
+
+    def counted(obj, d):
+        built.append(d)
+        return real(obj, d)
+
+    monkeypatch.setattr(enumeration, "_level", counted)
+    assert len(enum_signed_walks(fig2, 1, "upper", 1, 3, 1)) == 1
+    assert built == [1]
+
+
 def test_long_walks_need_no_recursion():
     # one vertex in one edge: a single walk of every length on each side,
     # 1200 steps deep, far past Python's recursion limit
