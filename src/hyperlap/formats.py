@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import CWHypergraph, Hypergraph, HyperlapError, _faults
+from .model import CWHypergraph, Hypergraph, HyperlapError, InvalidArgumentError, _faults
 
 
 @dataclass(frozen=True)
@@ -152,11 +152,14 @@ def serialize(obj: Hypergraph | CWHypergraph) -> str:
     """Inverse of the parsers: parse(serialize(x)) == x, except for a
     hypergraph's vertex labels, which `.hg` cannot express; they come back
     as the defaults v1..vn. Edge labels are written as edge names, so each
-    must be one token without `#`."""
+    must be one token without `#`, used once; any other is refused."""
     out = []
     if isinstance(obj, Hypergraph):
         out.append(f"vertices {obj.n}")
-        for name, edge in zip(obj.edge_labels, obj.edges):
+        last = {name: j for j, name in enumerate(obj.edge_labels)}
+        for j, (name, edge) in enumerate(zip(obj.edge_labels, obj.edges)):
+            if name.split() != [name] or "#" in name or last[name] != j:
+                raise InvalidArgumentError(f"edge label {name!r} cannot be written: one token without '#', used once")
             out.append(f"edge {name} " + " ".join(str(v) for v in edge))
     else:
         for d, count in enumerate(obj.counts):

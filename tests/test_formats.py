@@ -1,10 +1,11 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
 from hyperlap import CWHypergraph, Hypergraph, ParseError, builtin_fixture, parse_cw, parse_hg, serialize
-from hyperlap.model import HyperlapError
+from hyperlap.model import HyperlapError, InvalidArgumentError
 from random_instances import random_cw, random_hypergraph
 
 
@@ -100,6 +101,15 @@ def test_round_trip_keeps_all_but_a_hypergraphs_vertex_labels():
     assert back != h and back.vertex_labels == ("v1", "v2", "v3")
     # and that is all it leaves out
     assert back == dataclasses.replace(h, vertex_labels=())
+
+
+@pytest.mark.parametrize("labels", [("a b",), ("a#b",), ("a", "a"), ("",)])
+def test_serialize_refuses_an_edge_label_it_cannot_write_back(labels):
+    # unchecked, "a b" and "a#b" gave text that does not parse, ("a", "a")
+    # a duplicate edge name, and "" the line `edge  1 2`: another hypergraph
+    h = Hypergraph(n=2, edges=((1, 2),) * len(labels), edge_labels=labels)
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"edge label {labels[-1]!r} cannot be written")):
+        serialize(h)
 
 
 def test_round_trip_random_instances():
